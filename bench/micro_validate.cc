@@ -7,7 +7,9 @@
 ///      it replaced (classify_scalar), same live history, same
 ///      requests. The scalar loop's fresh result vectors are part of
 ///      its measured cost: that is exactly what the seed path did per
-///      request.
+///      request. The kernels and the walk take turns in short rounds,
+///      and each is reported relative to the first kernel (median
+///      of per-round ratios), so host drift cancels out of the ratios.
 ///   2. pipeline validate ns + allocations/validation — the full
 ///      synchronous round trip through ValidationPipeline::validate()
 ///      (enqueue, worker classify+decide, slot wakeup) in steady
@@ -25,12 +27,14 @@
 ///   W=64/512-bit/k=4 plus two contrast points. --csv writes one row
 ///   per geometry — the input scripts/bench_summary.py --hotpath-csv
 ///   distills into BENCH_hotpath.json.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,6 +92,29 @@ struct Result
     double pipeline_ns = 0;
     double allocs_per_validation = 0;
 };
+
+/// Timed rounds per classify kernel (see run_geometry).
+constexpr unsigned kRounds = 31;
+
+double
+median(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+}
+
+/// @p samples scaled to the reference series @p ref: the median of the
+/// per-round ratios times the median of @p ref.
+double
+relative_median(const std::vector<double>& samples,
+                const std::vector<double>& ref)
+{
+    std::vector<double> ratios(samples.size());
+    for (size_t r = 0; r < samples.size(); ++r) {
+        ratios[r] = samples[r] / ref[r];
+    }
+    return median(ratios) * median(ref);
+}
 
 uint64_t
 now_ns()
@@ -147,32 +174,51 @@ run_geometry(const Geometry& geometry, uint64_t iters,
         const std::vector<fpga::OffloadRequest> requests = build_requests(
             1024, reads, writes, pool, geometry.window / 2, rng);
 
+        // The iterations are split into rounds that cycle through every
+        // kernel and the scalar walk. On a shared host the speed of a
+        // core drifts within a run, both ways, so two long timed loops
+        // compare two different machines. Within one short round the
+        // conditions are shared: each figure is the first kernel's
+        // median scaled by the median per-round ratio to it.
+        const std::span<const sig::MatchKernel> kernels =
+            sig::runtime_kernels();
+        const uint64_t round_iters = std::max<uint64_t>(1, iters / kRounds);
+        std::vector<std::vector<double>> kernel_ns(kernels.size());
+        std::vector<double> scalar_ns;
         core::ValidationRequest out; // reused: the zero-alloc hot path
-        for (sig::MatchKernel kernel : sig::runtime_kernels()) {
-            detector.set_match_kernel(kernel);
-            for (const auto& request : requests) { // warm caches + capacity
-                detector.classify_into(request, &out);
-                sink += out.forward.size();
+        for (unsigned round = 0; round < kRounds; ++round) {
+            for (size_t k = 0; k < kernels.size(); ++k) {
+                detector.set_match_kernel(kernels[k]);
+                for (const auto& request : requests) { // warm caches + capacity
+                    detector.classify_into(request, &out);
+                    sink += out.forward.size();
+                }
+                const uint64_t t0 = now_ns();
+                for (uint64_t i = 0; i < round_iters; ++i) {
+                    detector.classify_into(requests[i % requests.size()],
+                                           &out);
+                    sink += out.backward.size();
+                }
+                const uint64_t t1 = now_ns();
+                kernel_ns[k].push_back(double(t1 - t0) /
+                                       double(round_iters));
             }
+            detector.set_match_kernel(sig::best_kernel());
+
             const uint64_t t0 = now_ns();
-            for (uint64_t i = 0; i < iters; ++i) {
-                detector.classify_into(requests[i % requests.size()], &out);
-                sink += out.backward.size();
+            for (uint64_t i = 0; i < round_iters; ++i) {
+                const core::ValidationRequest scalar =
+                    detector.classify_scalar(requests[i % requests.size()]);
+                sink += scalar.backward.size();
             }
             const uint64_t t1 = now_ns();
+            scalar_ns.push_back(double(t1 - t0) / double(round_iters));
+        }
+        for (size_t k = 0; k < kernels.size(); ++k) {
             result.kernels.push_back(
-                {kernel, double(t1 - t0) / double(iters)});
+                {kernels[k], relative_median(kernel_ns[k], kernel_ns[0])});
         }
-        detector.set_match_kernel(sig::best_kernel());
-
-        const uint64_t t0 = now_ns();
-        for (uint64_t i = 0; i < iters; ++i) {
-            const core::ValidationRequest scalar =
-                detector.classify_scalar(requests[i % requests.size()]);
-            sink += scalar.backward.size();
-        }
-        const uint64_t t1 = now_ns();
-        result.scalar_ns = double(t1 - t0) / double(iters);
+        result.scalar_ns = relative_median(scalar_ns, kernel_ns[0]);
     }
 
     // --- full pipeline round trip, steady state, counted allocations ---

@@ -10,6 +10,22 @@ namespace {
 
 thread_local unsigned tls_thread_id = ~0u;
 
+/// Writer tag of one speculative attempt: its attempt number in the high
+/// half, thread id + 1 in the low half. The attempt number keeps a
+/// stealer's CAS from succeeding against a later attempt of the thread
+/// it doomed (ABA).
+uint64_t
+owner_tag(uint32_t attempt, unsigned thread_id)
+{
+    return (uint64_t{attempt} << 32) | (thread_id + 1);
+}
+
+unsigned
+owner_thread(uint64_t tag)
+{
+    return static_cast<unsigned>(tag & 0xffffffffu) - 1;
+}
+
 } // namespace
 
 struct HtmTsxSim::Descriptor
@@ -25,6 +41,9 @@ struct HtmTsxSim::Descriptor
     std::vector<size_t> write_stripes; ///< stripes we own as writer
     tm::RedoLog redo;
     size_t accesses = 0;
+    uint64_t fallback_epoch = 0; ///< fallback_epoch_ at attempt start
+    uint32_t attempts = 0;       ///< speculative attempts started
+    uint64_t tag = 0;            ///< owner_tag() of the current attempt
     CounterBag stats;
     obs::AbortReason last_abort = obs::AbortReason::kNone;
 
@@ -52,26 +71,31 @@ class HtmTsxSim::TxImpl final : public tm::Tx
     {
         check_doom_and_capacity();
 
-        const size_t idx = rt_.stripe_index(&cell);
-        Stripe& stripe = rt_.stripes_[idx];
-
         tm::Word value;
         if (!d_.redo.empty() && d_.redo.get(&cell, value)) return value;
 
-        // Acquire shared ownership; a foreign writer loses (requester
-        // wins, as when a load forces the writer's M-state line out of
-        // its cache).
-        const uint32_t writer = stripe.writer.load(std::memory_order_acquire);
-        if (writer != 0 && writer != d_.thread_id + 1) {
-            rt_.doom(writer - 1);
-        }
+        const size_t idx = rt_.stripe_index(&cell);
+        Stripe& stripe = rt_.stripes_[idx];
+
+        // Acquire shared ownership: announce the reader bit, then look
+        // for a writer. store() announces the writer, then looks for
+        // readers. Both sides are seq_cst, so of a racing read and
+        // write at least one sees the other.
         const uint64_t my_bit = uint64_t{1} << (d_.thread_id & 63);
         if (!(stripe.readers.load(std::memory_order_relaxed) & my_bit)) {
-            stripe.readers.fetch_or(my_bit, std::memory_order_acq_rel);
+            stripe.readers.fetch_or(my_bit, std::memory_order_seq_cst);
             d_.read_stripes.push_back(idx);
         }
+        // A foreign writer loses (requester wins, as when a load forces
+        // the writer's M-state line out of its cache).
+        const uint64_t writer = stripe.writer.load(std::memory_order_seq_cst);
+        if (writer != 0 && writer != d_.tag) rt_.doom(owner_thread(writer));
         ++d_.accesses;
-        return cell.value.load(std::memory_order_acquire);
+        value = cell.value.load(std::memory_order_acquire);
+        // A conflicting writer that committed since the last access
+        // doomed us first; never hand the body a torn snapshot.
+        check_doom();
+        return value;
     }
 
     void
@@ -84,16 +108,23 @@ class HtmTsxSim::TxImpl final : public tm::Tx
 
         // Exclusive ownership: doom every foreign reader and writer
         // (the store invalidates their lines).
-        const uint32_t me = d_.thread_id + 1;
-        uint32_t writer = stripe.writer.load(std::memory_order_acquire);
-        if (writer != me) {
-            if (writer != 0) rt_.doom(writer - 1);
-            stripe.writer.store(me, std::memory_order_release);
-            d_.write_stripes.push_back(idx);
+        // Claim with a CAS, dooming the current owner first: once we
+        // are the owner, every earlier one has either written back in
+        // full or can no longer commit, so a reader that finds us needs
+        // to doom only us. (An exchange would leave a window in which
+        // the old owner, not yet doomed, commits behind our back.)
+        uint64_t writer = stripe.writer.load(std::memory_order_seq_cst);
+        while (writer != d_.tag) {
+            if (writer != 0) rt_.doom(owner_thread(writer));
+            if (stripe.writer.compare_exchange_weak(
+                    writer, d_.tag, std::memory_order_seq_cst)) {
+                d_.write_stripes.push_back(idx);
+                break;
+            }
         }
         const uint64_t my_bit = uint64_t{1} << (d_.thread_id & 63);
         uint64_t readers =
-            stripe.readers.load(std::memory_order_acquire) & ~my_bit;
+            stripe.readers.load(std::memory_order_seq_cst) & ~my_bit;
         while (readers != 0) {
             const unsigned victim = std::countr_zero(readers);
             rt_.doom(victim);
@@ -115,15 +146,22 @@ class HtmTsxSim::TxImpl final : public tm::Tx
     }
 
   private:
+    /// Abort if a conflicting access doomed us or a fallback
+    /// transaction started since this attempt began.
     void
-    check_doom_and_capacity()
+    check_doom()
     {
-        if (rt_.doomed_[d_.thread_id].load(std::memory_order_acquire) ||
-            rt_.fallback_active_.load(std::memory_order_acquire)) {
+        if (!rt_.attempt_live(d_)) {
             d_.stats.bump(tm::stat::kConflictAborts);
             d_.last_abort = obs::AbortReason::kConflict;
             throw tm::TxAbortException{};
         }
+    }
+
+    void
+    check_doom_and_capacity()
+    {
+        check_doom();
         if (d_.accesses > rt_.config_.read_capacity) capacity_abort();
     }
 
@@ -186,7 +224,19 @@ HtmTsxSim::descriptor()
 void
 HtmTsxSim::doom(unsigned victim)
 {
-    doomed_[victim].store(1, std::memory_order_release);
+    doomed_[victim].store(1, std::memory_order_seq_cst);
+    // Wait out a commit the victim may be inside: after this barrier it
+    // has either written back in full or will see the doom when it
+    // tries to commit, as if the conflict had aborted it at once.
+    std::lock_guard<std::mutex> barrier(commit_mutex_);
+}
+
+bool
+HtmTsxSim::attempt_live(const Descriptor& d) const
+{
+    return !doomed_[d.thread_id].load(std::memory_order_acquire) &&
+           fallback_epoch_.load(std::memory_order_acquire) ==
+               d.fallback_epoch;
 }
 
 void
@@ -196,9 +246,8 @@ HtmTsxSim::release_footprint(Descriptor& d)
     for (size_t idx : d.read_stripes) {
         stripes_[idx].readers.fetch_and(~my_bit, std::memory_order_acq_rel);
     }
-    const uint32_t me = d.thread_id + 1;
     for (size_t idx : d.write_stripes) {
-        uint32_t expected = me;
+        uint64_t expected = d.tag;
         stripes_[idx].writer.compare_exchange_strong(
             expected, 0, std::memory_order_acq_rel);
     }
@@ -208,10 +257,13 @@ bool
 HtmTsxSim::speculative_attempt(const std::function<void(tm::Tx&)>& body,
                                Descriptor& d)
 {
-    while (fallback_active_.load(std::memory_order_acquire)) {
+    uint64_t epoch;
+    while ((epoch = fallback_epoch_.load(std::memory_order_acquire)) & 1) {
         std::this_thread::yield();
     }
     d.reset();
+    d.fallback_epoch = epoch;
+    d.tag = owner_tag(++d.attempts, d.thread_id);
     doomed_[d.thread_id].store(0, std::memory_order_release);
     TxImpl tx(*this, d);
 
@@ -221,8 +273,7 @@ HtmTsxSim::speculative_attempt(const std::function<void(tm::Tx&)>& body,
         // Commit decision is serialized against doom() effects and the
         // fallback barrier.
         std::lock_guard<std::mutex> lock(commit_mutex_);
-        if (!doomed_[d.thread_id].load(std::memory_order_acquire) &&
-            !fallback_active_.load(std::memory_order_acquire)) {
+        if (attempt_live(d)) {
             d.redo.apply();
             committed = true;
         } else {
@@ -243,7 +294,9 @@ HtmTsxSim::fallback_execute(const std::function<void(tm::Tx&)>& body,
 {
     // Global-lock fallback: exclusive, non-speculative execution.
     std::lock_guard<std::mutex> serial(fallback_mutex_);
-    fallback_active_.store(1, std::memory_order_release);
+    // Odd epoch: no speculative attempt may start, and every one in
+    // flight sees the epoch change at its next access or commit.
+    fallback_epoch_.fetch_add(1, std::memory_order_seq_cst);
     {
         // Barrier: wait out any in-flight speculative commit.
         std::lock_guard<std::mutex> barrier(commit_mutex_);
@@ -276,10 +329,10 @@ HtmTsxSim::fallback_execute(const std::function<void(tm::Tx&)>& body,
         // A retry() under the fallback lock cannot make progress by
         // waiting (we are serial); surface it as a commit of a no-op
         // retry loop by re-running the body until it succeeds.
-        fallback_active_.store(0, std::memory_order_release);
+        fallback_epoch_.fetch_add(1, std::memory_order_release);
         throw;
     }
-    fallback_active_.store(0, std::memory_order_release);
+    fallback_epoch_.fetch_add(1, std::memory_order_release);
     d.stats.bump(tm::stat::kFallbackCommits);
     d.stats.bump(tm::stat::kCommits);
 }

@@ -64,11 +64,12 @@ class HtmTsxSim final : public tm::TmRuntime
     struct Descriptor;
 
     /// Per-stripe ownership: a 64-thread reader bitmask and a writer
-    /// slot (owner + 1, 0 = none).
+    /// slot holding the owning attempt's tag (0 = none; see owner_tag()
+    /// in htm_tsx.cc).
     struct Stripe
     {
         std::atomic<uint64_t> readers{0};
-        std::atomic<uint32_t> writer{0};
+        std::atomic<uint64_t> writer{0};
     };
 
     Descriptor& descriptor();
@@ -78,16 +79,23 @@ class HtmTsxSim final : public tm::TmRuntime
     void fallback_execute(const std::function<void(tm::Tx&)>& body,
                           Descriptor& d);
     void release_footprint(Descriptor& d);
+    /// Doom @p victim and wait until it cannot commit without seeing
+    /// the doom.
     void doom(unsigned victim);
+    /// False once @p d's attempt was doomed or a fallback began.
+    bool attempt_live(const Descriptor& d) const;
 
     HtmConfig config_;
     std::vector<Stripe> stripes_;
     std::unique_ptr<std::atomic<uint32_t>[]> doomed_;
 
-    /// Serializes doom vs. commit decisions (slow paths only).
+    /// Serializes commit decisions and write-back; doom() and the
+    /// fallback pass through it as a barrier.
     std::mutex commit_mutex_;
-    /// Set while a fallback (non-speculative) transaction runs.
-    std::atomic<uint32_t> fallback_active_{0};
+    /// Fallback (non-speculative) transactions started + finished: odd
+    /// while one runs. A speculative attempt that sees it change
+    /// aborts, even if the fallback began and ended between accesses.
+    std::atomic<uint64_t> fallback_epoch_{0};
     std::mutex fallback_mutex_;
 
     mutable std::mutex stats_mutex_;

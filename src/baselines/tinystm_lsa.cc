@@ -75,11 +75,17 @@ class TinyStmLsa::TxImpl final : public tm::Tx
             if (v1 != v2) continue; // raced with a writer; re-read
 
             if (LockTable::version_of(v1) > d_.snapshot) {
-                // LSA snapshot extension.
+                // LSA snapshot extension. It validates only the read
+                // set, which does not hold this stripe yet: a writer
+                // that commits here between our read and the new
+                // snapshot would leave `value` older than the snapshot
+                // claims (a lost update once the commit-time validation
+                // is skipped). So re-read under the extended snapshot.
                 if (!extend_snapshot()) {
                     abort_tx(tm::stat::kStaleAborts,
                              obs::AbortReason::kSnapshotStale);
                 }
+                continue;
             }
             d_.read_set.push_back({&lock, LockTable::version_of(v1)});
             return value;

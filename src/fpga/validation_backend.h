@@ -1,18 +1,23 @@
 /// @file
 /// Abstract validation backend: the seam between the TM runtime and
-/// whatever actually runs the ROCoCo reachability check. Two
+/// whatever actually runs the ROCoCo reachability check. Three
 /// implementations exist:
 ///
-///   * fpga::ValidationPipeline — the in-process worker thread that
-///     owns a ValidationEngine (the single-address-space deployment of
-///     the paper, Fig. 6 (b));
+///   * shard::ShardRouter — runs the engine on the calling thread under
+///     a per-shard lock (one engine by default). RococoTm's in-process
+///     backend: the single-address-space deployment of the paper,
+///     Fig. 6 (b), without a handoff to another thread;
 ///   * svc::ValidationClient — a socket client of the networked
 ///     validation service (src/svc), where one server-owned engine and
 ///     sliding window are shared by many client processes, the way one
-///     FPGA serves a whole socket's worth of executors over CCI.
+///     FPGA serves a whole socket's worth of executors over CCI;
+///   * fpga::ValidationPipeline — a worker thread that owns a
+///     ValidationEngine and drains a pull queue: the device model of
+///     the hardware pipeline, measured by bench/micro_validate, not a
+///     serving path.
 ///
-/// RococoTm selects the backend from its config; everything above this
-/// interface is identical either way.
+/// RococoTm selects the router or the client from its config;
+/// everything above this interface is identical either way.
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,6 @@
 /// @file
-/// Real-thread validation pipeline: the software stand-in for the FPGA
-/// in the live ROCoCoTM runtime.
+/// Real-thread validation pipeline: the device model of the FPGA's
+/// pull queue.
 ///
 /// A dedicated worker thread owns a ValidationEngine and drains the
 /// pull queue in arrival order, exactly like the hardware pipeline
@@ -8,8 +8,12 @@
 /// and block on the verdict. Unlike the hardware, the worker shares the
 /// CPU with the executors, so its *throughput* is not representative —
 /// the paper-shaped timing figures come from the discrete-event
-/// simulator (src/sim); this class provides the *functional* offload
-/// for the real runtime and its tests.
+/// simulator (src/sim). bench/micro_validate measures its round trip
+/// (BENCH_hotpath.json).
+/// The live runtime does not serve through it: in process, RococoTm
+/// runs the engine on the committing thread (shard::ShardRouter),
+/// because the handoff to this worker and back costs several engine
+/// passes.
 ///
 /// The request path is allocation-free in steady state: requests live
 /// in a slab of reusable completion slots (never freed, recycled
@@ -33,7 +37,6 @@
 #include "core/sliding_window.h"
 #include "fpga/validation_backend.h"
 #include "fpga/validation_engine.h"
-#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 
 namespace rococo::fpga {
@@ -102,20 +105,6 @@ class ValidationPipeline final : public ValidationBackend
     /// Signature geometry shared with CPU-side eager detection.
     std::shared_ptr<const sig::SignatureConfig> signature_config()
         const override;
-
-    /// Attach a flight recorder (non-owning, may be nullptr to detach):
-    /// the worker ticks it once per processed request, off the
-    /// engine-lock hot section. Call before traffic starts — the
-    /// pointer is read by the worker without synchronization.
-    void attach_flight_recorder(obs::FlightRecorder* recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /// Serialize the engine's conflict top-K table in the same
-    /// single-key shape the shard router exports ({"shards": [...]}
-    /// with one entry), so svcctl/incident tooling parses both.
-    void topk_json(std::string* out) const;
 
     /// Stop the worker. Requests still queued are NOT drained through
     /// the engine: their futures resolve immediately with
@@ -193,9 +182,6 @@ class ValidationPipeline final : public ValidationBackend
     obs::LatencyHistogram& stage_queue_hist_;
     obs::LatencyHistogram& stage_engine_hist_;
     obs::LatencyHistogram& stage_link_hist_;
-
-    /// Optional flight recorder (see attach_flight_recorder()).
-    obs::FlightRecorder* recorder_ = nullptr;
 
     std::thread worker_;
 };

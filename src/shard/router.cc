@@ -207,7 +207,7 @@ ShardRouter::process(const fpga::OffloadRequest& request, RouteInfo* info)
 
     if (!cross) {
         Shard& shard = *shards_[subs[0].shard];
-        std::lock_guard<std::mutex> lock(shard.mutex);
+        std::lock_guard<SpinParkMutex> lock(shard.mutex);
         const uint64_t t_locked = obs::now_ns();
         route_ns_->record(t_locked - t_route);
         static thread_local core::ValidationRequest classified;
@@ -240,7 +240,8 @@ ShardRouter::process(const fpga::OffloadRequest& request, RouteInfo* info)
         // Reserve: all touched shard locks, ascending shard index
         // (split_into() orders subs), so concurrent coordinators cannot
         // deadlock.
-        static thread_local std::vector<std::unique_lock<std::mutex>> locks;
+        static thread_local std::vector<std::unique_lock<SpinParkMutex>>
+            locks;
         locks.clear();
         for (const SubRequest& sub : subs) {
             locks.emplace_back(shards_[sub.shard]->mutex);
@@ -312,7 +313,7 @@ ShardRouter::occupancy() const
 {
     size_t total = 0;
     for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
+        std::lock_guard<SpinParkMutex> lock(shard->mutex);
         total += shard->engine.manager().validator().occupancy();
     }
     return total;
@@ -391,7 +392,7 @@ ShardRouter::export_metrics(obs::Registry& registry) const
         obs::TopK::Entry top[kTopKExportRanks];
         size_t top_n = 0;
         {
-            std::lock_guard<std::mutex> lock(shard.mutex);
+            std::lock_guard<SpinParkMutex> lock(shard.mutex);
             occupancy = shard.engine.manager().validator().occupancy();
             top_n = shard.engine.conflict_topk().snapshot(
                 top, kTopKExportRanks);
@@ -435,7 +436,7 @@ ShardRouter::topk_json(std::string* out) const
         size_t n = 0;
         uint64_t offered = 0;
         {
-            std::lock_guard<std::mutex> lock(shard.mutex);
+            std::lock_guard<SpinParkMutex> lock(shard.mutex);
             const obs::TopK& sketch = shard.engine.conflict_topk();
             offered = sketch.offered();
             n = sketch.snapshot(top, obs::TopK::kCapacity);

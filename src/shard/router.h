@@ -80,6 +80,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spin_park_mutex.h"
 #include "fpga/validation_backend.h"
 #include "fpga/validation_engine.h"
 #include "obs/registry.h"
@@ -101,7 +102,8 @@ struct ShardConfig
 };
 
 /// Per-call routing attribution, for svc.stage.shard_route /
-/// svc.stage.shard_coord and the ablation bench.
+/// svc.stage.shard_coord, RococoTm's fpga.stage.queue and the ablation
+/// bench.
 struct RouteInfo
 {
     uint32_t shards_touched = 0;
@@ -260,7 +262,9 @@ class ShardRouter final : public fpga::ValidationBackend
   private:
     struct Shard
     {
-        std::mutex mutex;
+        /// Held for one engine pass per single-shard request: short
+        /// enough that a contender spins instead of parking.
+        SpinParkMutex mutex;
         fpga::ValidationEngine engine;
         /// Global commit number of each in-window commit, oldest first;
         /// evicted in lockstep with the engine window. Sized to

@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "obs/clock.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
 #include "shard/router.h"
@@ -20,20 +21,16 @@ cell_key(const TmCell& cell)
     return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&cell));
 }
 
-/// Config-selected validation backend: in-process pipeline by default,
-/// a sharded router when validation_shards > 1, service client when a
-/// socket path is configured.
+/// Config-selected validation backend: the in-caller shard router by
+/// default, the service client when a socket path is configured.
 std::unique_ptr<fpga::ValidationBackend>
 make_backend(const RococoTmConfig& config)
 {
     if (config.validation_service.empty()) {
-        if (config.validation_shards > 1) {
-            shard::ShardConfig sharded;
-            sharded.shards = config.validation_shards;
-            sharded.engine = config.engine;
-            return std::make_unique<shard::ShardRouter>(sharded);
-        }
-        return std::make_unique<fpga::ValidationPipeline>(config.engine);
+        shard::ShardConfig sharded;
+        sharded.shards = config.validation_shards;
+        sharded.engine = config.engine;
+        return std::make_unique<shard::ShardRouter>(sharded);
     }
     svc::ClientConfig client;
     client.socket_path = config.validation_service;
@@ -175,11 +172,17 @@ class RococoTm::TxImpl final : public Tx
 
 RococoTm::RococoTm(const RococoTmConfig& config)
     : config_(config), backend_(make_backend(config)),
+      router_(dynamic_cast<shard::ShardRouter*>(backend_.get())),
       sig_config_(backend_->signature_config()),
       commit_log_(sig_config_, config.commit_log_capacity),
       update_set_(sig_config_, config.max_threads),
-      descriptors_(config.max_threads)
+      gate_(config.max_threads), descriptors_(config.max_threads)
 {
+    if (router_ != nullptr) {
+        stage_queue_ = &obs::Registry::global().histogram("fpga.stage.queue");
+        stage_engine_ =
+            &obs::Registry::global().histogram("fpga.stage.engine");
+    }
     if (config_.recorder.enabled) {
         obs::FlightRecorderConfig rec = config_.recorder;
         if (rec.abort_counters.empty()) rec.abort_counters = {stat::kAborts};
@@ -203,16 +206,11 @@ RococoTm::RococoTm(const RococoTmConfig& config)
                 }
                 backend_->export_metrics(out);
             });
-        if (auto* pipeline =
-                dynamic_cast<fpga::ValidationPipeline*>(backend_.get())) {
-            pipeline->attach_flight_recorder(recorder_.get());
-            recorder_->set_topk_source([pipeline](std::string* out) {
-                pipeline->topk_json(out);
-            });
-        } else if (auto* router =
-                       dynamic_cast<shard::ShardRouter*>(backend_.get())) {
+        if (router_ != nullptr) {
             recorder_->set_topk_source(
-                [router](std::string* out) { router->topk_json(out); });
+                [router = router_](std::string* out) {
+                    router->topk_json(out);
+                });
         }
     }
     if (config_.monitor.enabled) {
@@ -318,7 +316,7 @@ RococoTm::try_execute(const std::function<void(Tx&)>& body)
         // transactions and run alone. With no concurrency the snapshot
         // stays current, no forward edges arise, and validation cannot
         // fail — the attempt below must commit.
-        std::unique_lock<std::shared_mutex> exclusive(gate_);
+        std::lock_guard<ExecutionGate> exclusive(gate_);
         const bool committed = attempt(body, d);
         if (!committed) {
             // Only a body-requested retry() — or, with a service
@@ -337,7 +335,7 @@ RococoTm::try_execute(const std::function<void(Tx&)>& body)
         return true;
     }
 
-    std::shared_lock<std::shared_mutex> shared(gate_);
+    ExecutionGate::Shared shared(gate_, d.thread_id);
     const bool committed = attempt(body, d);
     d.consecutive_aborts = committed ? 0 : d.consecutive_aborts + 1;
     return committed;
@@ -374,8 +372,8 @@ RococoTm::attempt(const std::function<void(Tx&)>& body, TxDescriptor& d)
         return true;
     }
 
-    // Ship R/W sets and ValidTS to the validation pipeline and wait
-    // for the verdict (Fig. 6).
+    // Ship R/W sets and ValidTS to the validation engine and wait for
+    // the verdict (Fig. 6).
     fpga::OffloadRequest request;
     {
         TRACE_SPAN("tm", "tx.ship");
@@ -390,12 +388,7 @@ RococoTm::attempt(const std::function<void(Tx&)>& body, TxDescriptor& d)
     core::ValidationResult verdict;
     {
         obs::ScopedSpan validate_span("tm", "tx.validate");
-        verdict =
-            config_.validation_timeout_ns > 0
-                ? backend_->validate(
-                      std::move(request),
-                      std::chrono::nanoseconds(config_.validation_timeout_ns))
-                : backend_->validate(std::move(request));
+        verdict = validate(std::move(request));
         if (verdict.verdict == core::Verdict::kCommit) {
             validate_span.arg("cid", verdict.cid);
         }
@@ -450,6 +443,28 @@ RococoTm::attempt(const std::function<void(Tx&)>& body, TxDescriptor& d)
 
     d.hot.commits->add(1);
     return true;
+}
+
+core::ValidationResult
+RococoTm::validate(fpga::OffloadRequest request)
+{
+    if (router_ == nullptr) {
+        return config_.validation_timeout_ns > 0
+                   ? backend_->validate(std::move(request),
+                                        std::chrono::nanoseconds(
+                                            config_.validation_timeout_ns))
+                   : backend_->validate(std::move(request));
+    }
+    // In-caller engine: no queue to time out in. The only wait is the
+    // shard lock, bounded by engine passes (the router's own
+    // validate(timeout) ignores a live deadline too).
+    if (!obs::telemetry_active()) return router_->process(request);
+    shard::RouteInfo info;
+    const uint64_t start = obs::now_ns();
+    const core::ValidationResult verdict = router_->process(request, &info);
+    stage_queue_->record(info.route_ns);
+    stage_engine_->record(obs::now_ns() - start - info.route_ns);
+    return verdict;
 }
 
 CounterBag

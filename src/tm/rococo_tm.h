@@ -3,7 +3,7 @@
 /// bloom-filter signatures (Algorithm 1), lazy version management
 /// (redo log + commit-time write-back), commit-time locking via the
 /// update set, and validation offloaded to the (software-modelled) FPGA
-/// pipeline.
+/// engine.
 ///
 /// Lifecycle of a writing transaction (Fig. 6 (a)/(b)):
 ///   Executor (CPU): run the body; every load maintains the lazy
@@ -11,8 +11,13 @@
 ///     aborts early on inconsistency — "fast path for true conflicts
 ///     without any atomic operation".
 ///   Detector+Manager (FPGA): the read/write address sets and ValidTS
-///     are shipped over the pull queue; the pipeline classifies
-///     dependencies and runs the ROCoCo reachability check.
+///     are shipped to the validation backend, which classifies
+///     dependencies and runs the ROCoCo reachability check. In process
+///     the engine runs on the committing thread itself, under a
+///     per-shard lock (shard::ShardRouter): no queue, no validator
+///     thread, no wake-up. fpga::ValidationPipeline, the worker-thread
+///     model of the hardware pull queue, is the device model the
+///     micro benchmarks measure, not a serving path.
 ///   Committer (CPU): on approval, publishes the write signature to the
 ///     update set, waits its cid turn, applies the redo log, appends
 ///     its signature to the commit log and advances GlobalTS.
@@ -22,18 +27,22 @@
 
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "fpga/validation_backend.h"
-#include "fpga/validation_pipeline.h"
+#include "fpga/validation_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "tm/commit_log.h"
+#include "tm/execution_gate.h"
 #include "tm/tm.h"
 #include "tm/tx_descriptor.h"
 #include "tm/update_set.h"
+
+namespace rococo::shard {
+class ShardRouter;
+} // namespace rococo::shard
 
 namespace rococo::tm {
 
@@ -50,19 +59,20 @@ struct RococoTmConfig
     unsigned irrevocable_after = 64;
     /// Unix-socket path of a svc::Server to validate against. Empty
     /// (the default) keeps validation in-process: the runtime owns a
-    /// ValidationPipeline, the single-address-space deployment of
-    /// Fig. 6 (b). Non-empty swaps in a svc::ValidationClient, sharing
+    /// shard::ShardRouter and runs the engine on the committing
+    /// thread, the single-address-space deployment of Fig. 6 (b).
+    /// Non-empty swaps in a svc::ValidationClient, sharing
     /// the server's sliding window with every other client process —
     /// the engine geometry below must match the server's, and the
     /// server must be reachable when the runtime is constructed
     /// (ROCOCO_CHECK aborts otherwise: a disconnected backend would
     /// reject every validation and retry silently forever).
     std::string validation_service;
-    /// Number of validation shards for the in-process deployment. 1
-    /// (the default) keeps the single-engine ValidationPipeline; > 1
-    /// swaps in a shard::ShardRouter that hash-partitions the address
-    /// space across that many engines with cross-shard two-phase
-    /// coordination (src/shard/router.h). Ignored when
+    /// Number of validation engines of the in-process shard::ShardRouter.
+    /// 1 (the default) is one engine behind one lock; > 1
+    /// hash-partitions the address space across that many engines with
+    /// cross-shard two-phase coordination (src/shard/router.h). Either
+    /// way the engine runs on the committing thread. Ignored when
     /// validation_service is set — the service server owns the shard
     /// count there (svc::ServerConfig::shards).
     uint32_t validation_shards = 1;
@@ -121,7 +131,7 @@ class RococoTm final : public TmRuntime
     obs::HealthMonitor* health_monitor() { return monitor_.get(); }
 
     /// Validation-backend verdict counters (the dotted line of
-    /// Fig. 10); pipeline- or client-side depending on config.
+    /// Fig. 10); router- or client-side depending on config.
     CounterBag fpga_stats() const { return backend_->stats(); }
 
     /// Full metrics registry behind stats() (per-thread registries
@@ -140,16 +150,30 @@ class RococoTm final : public TmRuntime
     /// the execution gate (shared or exclusive).
     bool attempt(const std::function<void(Tx&)>& body, TxDescriptor& d);
 
+    /// Ship @p request to the backend and wait for the verdict. In
+    /// process, while a TelemetrySession is active, splits the wait
+    /// into fpga.stage.queue (shard-lock wait) and fpga.stage.engine
+    /// (time under the lock).
+    core::ValidationResult validate(fpga::OffloadRequest request);
+
     RococoTmConfig config_;
     std::unique_ptr<fpga::ValidationBackend> backend_;
+    /// backend_ as the in-process router, or nullptr for the service
+    /// client.
+    shard::ShardRouter* router_ = nullptr;
     std::shared_ptr<const sig::SignatureConfig> sig_config_;
     CommitLog commit_log_;
     UpdateSet update_set_;
 
-    /// Execution gate: normal transactions hold it shared; an
+    /// Execution gate: normal transactions pass it shared; an
     /// irrevocable transaction holds it exclusively, so it runs alone
     /// and its validation cannot fail.
-    std::shared_mutex gate_;
+    ExecutionGate gate_;
+
+    /// In-process ledger histograms in the global registry, hoisted so
+    /// the commit path never takes the registry mutex.
+    obs::LatencyHistogram* stage_queue_ = nullptr;
+    obs::LatencyHistogram* stage_engine_ = nullptr;
 
     obs::Registry registry_; ///< merged per-thread metrics (thread-safe)
     /// Guards descriptor creation vs. the recorder's collector, which

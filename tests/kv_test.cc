@@ -408,8 +408,11 @@ check_history(KvInterface& store, const OracleConfig& config,
     EXPECT_EQ(ops_total, metrics.get("kv.txn.commits"));
 }
 
+/// The engine is a std::string, not a const char*: gtest prints a
+/// pointer parameter with its address, which would make the test names
+/// differ from one process to the next.
 class KvOracleTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>>
+    : public ::testing::TestWithParam<std::tuple<std::string, double>>
 {
 };
 
@@ -425,7 +428,8 @@ TEST_P(KvOracleTest, ConcurrentRmwAndScanHistoriesAreSerializable)
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, KvOracleTest,
-    ::testing::Combine(::testing::Values("occ", "2pl"),
+    ::testing::Combine(::testing::Values(std::string("occ"),
+                                         std::string("2pl")),
                        ::testing::Values(0.0, 0.99)));
 
 // ---------------------------------------------------------------------

@@ -2,9 +2,12 @@
 /// TinySTM-LSA, simulated TSX, global lock) must preserve atomicity
 /// and isolation under real concurrent threads. These are the
 /// "does the actual runtime work" tests; scalability is measured by
-/// the simulator, not here (single-core machine).
+/// the simulator and the benchmarks, not here.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -245,6 +248,36 @@ TEST(RococoTm, ContentionProducesAbortsButStaysCorrect)
     EXPECT_EQ(total, int64_t(kThreads) * kPerThread);
 }
 
+/// Threads of this process, or 0 where /proc is unavailable.
+size_t
+thread_count()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec) return 0;
+    size_t n = 0;
+    for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+    return n;
+}
+
+TEST(RococoTm, DefaultBackendStartsNoThread)
+{
+    // The default in-process backend runs the engine on the committing
+    // thread: constructing the runtime must not start a validator. (LE,
+    // not EQ: a thread joined by an earlier test may still be leaving
+    // the task list.)
+    const size_t before = thread_count();
+    if (before == 0) GTEST_SKIP() << "no /proc/self/task";
+    tm::RococoTm rt;
+    EXPECT_LE(thread_count(), before);
+    tm::TmVar<int64_t> x(0);
+    run_threads(rt, 1, [&](unsigned) {
+        rt.execute([&](tm::Tx& tx) { x.set(tx, 1); });
+    });
+    EXPECT_EQ(x.get_unsafe(), 1);
+    EXPECT_EQ(rt.fpga_stats().get("shard.validations"), 1u);
+}
+
 TEST(HtmTsxSim, FallbackEngagesAfterRepeatedAborts)
 {
     // Deterministic: the body aborts its speculative attempts via
@@ -376,6 +409,56 @@ TEST(RococoTmIrrevocable, ConcurrentThreadsStayCorrect)
         }
     });
     EXPECT_EQ(counter.get_unsafe(), int64_t(kThreads) * kPerThread);
+}
+
+TEST(RococoTmIrrevocable, ExcludesOptimisticAttempts)
+{
+    // With irrevocable_after = 1, every attempt after the first in one
+    // execute() call runs irrevocably. Thread 0 retries its first
+    // attempt on every call, so it goes irrevocable each time; threads
+    // 1-3 contend on one counter, abort, and go irrevocable too. An
+    // irrevocable body raises `irrevocable` for its whole run (and
+    // lingers so others get the chance to overlap); an optimistic body
+    // must never see it raised, and two irrevocable bodies must never
+    // overlap.
+    tm::RococoTmConfig config;
+    config.irrevocable_after = 1;
+    tm::RococoTm rt(config);
+    tm::TmVar<int64_t> counter(0);
+    std::atomic<int> irrevocable{0};
+    std::atomic<int> seen_by_optimistic{0};
+    std::atomic<int> overlapping_irrevocable{0};
+    std::atomic<int> irrevocable_bodies{0};
+    constexpr unsigned kThreads = 4;
+    constexpr int kPerThread = 200;
+    run_threads(rt, kThreads, [&](unsigned tid) {
+        for (int i = 0; i < kPerThread; ++i) {
+            int attempt = 0;
+            rt.execute([&](tm::Tx& tx) {
+                if (attempt++ == 0) {
+                    if (irrevocable.load() != 0) ++seen_by_optimistic;
+                    if (tid == 0) tx.retry();
+                    counter.set(tx, counter.get(tx) + 1);
+                    if (irrevocable.load() != 0) ++seen_by_optimistic;
+                    return;
+                }
+                if (irrevocable.fetch_add(1) != 0) ++overlapping_irrevocable;
+                ++irrevocable_bodies;
+                const auto until = std::chrono::steady_clock::now() +
+                                   std::chrono::microseconds(20);
+                while (std::chrono::steady_clock::now() < until) {
+                }
+                counter.set(tx, counter.get(tx) + 1);
+                irrevocable.fetch_sub(1);
+            });
+        }
+    });
+    EXPECT_EQ(seen_by_optimistic.load(), 0);
+    EXPECT_EQ(overlapping_irrevocable.load(), 0);
+    EXPECT_EQ(counter.get_unsafe(), int64_t(kThreads) * kPerThread);
+    EXPECT_GE(irrevocable_bodies.load(), kPerThread);
+    EXPECT_EQ(rt.stats().get("irrevocable_commits"),
+              uint64_t(irrevocable_bodies.load()));
 }
 
 } // namespace

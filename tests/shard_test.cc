@@ -4,13 +4,16 @@
 /// (against the src/graph oracle, with forced cross-shard conflicts),
 /// the cross-shard coordinator's abort/release and fence rules, the
 /// concurrent-caller accounting invariant (and absence of deadlock),
-/// metric export, and the RococoTm / svc::Server adoptions.
+/// metric export, the shard lock, and the RococoTm / svc::Server
+/// adoptions.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "cc/rococo_cc.h"
 #include "cc/trace_generator.h"
 #include "common/rng.h"
+#include "common/spin_park_mutex.h"
 #include "graph/serializability.h"
 #include "obs/registry.h"
 #include "shard/partition.h"
@@ -528,6 +532,40 @@ TEST(ShardRouter, ExpiredDeadlineIsHonored)
     EXPECT_EQ(result.verdict, core::Verdict::kTimeout);
     EXPECT_EQ(result.reason, obs::AbortReason::kTimeout);
     EXPECT_EQ(router.stats().get("timeout"), 1u);
+}
+
+TEST(SpinParkMutex, ExcludesWhileHolderSleepsPastSpinBound)
+{
+    // Every 50th holder sleeps 5x past the spin bound, so contenders
+    // exhaust their spin and park; the rest hold it briefly, so they
+    // mostly spin. `counter` is plain: only the lock orders it.
+    SpinParkMutex mutex;
+    int64_t counter = 0;
+    std::atomic<int> inside{0};
+    std::atomic<int> overlaps{0};
+    constexpr unsigned kThreads = 4;
+    constexpr int kPerThread = 2000;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                std::lock_guard<SpinParkMutex> lock(mutex);
+                if (inside.fetch_add(1) != 0) ++overlaps;
+                ++counter;
+                if ((i + int(t)) % 50 == 0) {
+                    std::this_thread::sleep_for(5 *
+                                                SpinParkMutex::kSpinBound);
+                }
+                inside.fetch_sub(1);
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_EQ(counter, int64_t(kThreads) * kPerThread);
+    EXPECT_TRUE(mutex.try_lock());
+    EXPECT_FALSE(mutex.try_lock());
+    mutex.unlock();
 }
 
 TEST(RococoTmSharded, TransfersConserveAcrossShards)

@@ -46,6 +46,10 @@ LOADGEN_A_PID=$!
 wait_for_socket
 
 # Watch for 8 samples at 50 ms; capture stderr for the reconnect log.
+# Create the output file first: the background job opens it only once
+# it is scheduled, and the poll below must not read a missing file
+# (`wc` fails, `[` errors out and the loop would end with no sample).
+: > "$OUT"
 "$SVCCTL" --socket="$SOCK" watch --interval-ms=50 --count=8 \
     > "$OUT" 2> "$ERR" &
 WATCH_PID=$!
