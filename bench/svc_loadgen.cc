@@ -13,7 +13,7 @@
 /// batch=1, the software analogue of amortizing CCI link latency with
 /// packed cachelines (§5.3). Results are recorded in docs/SERVICE.md.
 ///
-/// Stage attribution (--stages=1): every v2 response carries the
+/// Stage attribution (--stages=1): every response carries the
 /// server-side stage durations, and the client derives the wire stage
 /// as the residual of the measured round trip — so the stage *means*
 /// sum to the e2e mean by construction (the modeled CCI link latency is
@@ -45,11 +45,10 @@
 ///   spike: every key is drawn from [0, N) and requests carry
 ///   snapshot_cid=0 (a maximally stale snapshot), so nearly every
 ///   validation collides with the window and aborts. --recorder-out=P
-///   arms the server's flight recorder (incident files P-<seq>.json)
-///   with --abort-rate-trigger=X as the firing threshold; the run then
-///   narrows to its first sweep cell and svc_loadgen exits 1 if the
-///   recorder was armed with a trigger but no incident fired — the
-///   contract the incident-dump ctest fixture pins down.
+///   arms the server's flight recorder (incident files P-<seq>.json):
+///   `svcctl dump` writes a manual incident, and the health monitor's
+///   SLO rules (below) are its only automatic trigger. The run then
+///   narrows to its first sweep cell.
 ///
 /// Continuous monitoring (docs/OBSERVABILITY.md § Continuous
 /// monitoring): the server's health monitor is on by default
@@ -58,9 +57,12 @@
 /// --slo-slow-ms shrink the SLO windows so short runs can walk the
 /// ok -> warn -> critical ladder; with a recorder armed
 /// (--recorder-out) a critical SLO dumps an incident with trigger
-/// "slo:abort-rate". --prom-out=FILE writes the server's final metrics
-/// snapshot in Prometheus text exposition format (the node-exporter
-/// textfile-collector shape) and narrows the sweep to its first cell.
+/// "slo:abort-rate", and svc_loadgen exits 1 if a recorder and
+/// --slo-abort-rate were both armed but no incident fired — the
+/// contract the incident-dump ctest fixture pins down. --prom-out=FILE
+/// writes the server's final metrics snapshot in Prometheus text
+/// exposition format (the node-exporter textfile-collector shape) and
+/// narrows the sweep to its first cell.
 ///
 /// Server threading (--server-threads=0,N,...): each value spawns the
 /// server with that many engine workers (0 = the single-threaded
@@ -78,8 +80,8 @@
 ///               [--requests=20000] [--outstanding=16] [--reads=4]
 ///               [--writes=2] [--keys=4096] [--stages=1]
 ///               [--tm-threads=N] [--zipf=THETA] [--hot-keys=N]
-///               [--recorder-out=PREFIX] [--abort-rate-trigger=X]
-///               [--monitor=1] [--prom-out=FILE] [--slo-abort-rate=X]
+///               [--recorder-out=PREFIX] [--monitor=1]
+///               [--prom-out=FILE] [--slo-abort-rate=X]
 ///               [--slo-fast-ms=N] [--slo-slow-ms=N]
 ///               [--telemetry-server=FILE] [--telemetry-client=FILE]
 ///               [--socket=/tmp/rococo_loadgen.sock] [--csv=FILE]
@@ -159,7 +161,6 @@ struct LoadConfig
     double zipf = 0;         ///< Zipf theta; 0 = uniform keys
     uint64_t hot_keys = 0;   ///< > 0: abort spike over [0, hot_keys)
     std::string recorder_out;        ///< arm the server flight recorder
-    double abort_rate_trigger = 0;   ///< recorder firing threshold
     bool monitor = true;             ///< server health monitor on/off
     std::string prom_out;            ///< Prometheus textfile snapshot
     double slo_abort_rate = 0;       ///< override abort-rate SLO threshold
@@ -269,7 +270,7 @@ run_client(const LoadConfig& config, unsigned seed,
     report.p99_ns = latency.quantile(0.99);
 
     // The per-stage breakdown lives in the client's metric registry
-    // (fed by every v2 response); pull it into the flat report.
+    // (fed by every response); pull it into the flat report.
     obs::Registry metrics;
     client.export_metrics(metrics);
     harvest_stages(metrics, report);
@@ -381,11 +382,6 @@ run_one(const LoadConfig& load, size_t clients, size_t batch,
     if (!load.recorder_out.empty()) {
         server_config.recorder.enabled = true;
         server_config.recorder.output_prefix = load.recorder_out;
-        server_config.recorder.abort_rate_threshold =
-            load.abort_rate_trigger;
-        // Loadgen runs are short (hundreds of ms); sample fast enough
-        // that a spike is seen in several consecutive windows.
-        server_config.recorder.sample_period_ns = 2'000'000;
         server_config.recorder.include_trace = obs::telemetry_active();
     }
     server_config.monitor.enabled = load.monitor;
@@ -573,9 +569,8 @@ main(int argc, char** argv)
              "assert-mt-speedup", "requests", "outstanding",
              "reads", "writes", "keys", "socket", "csv", "stages",
              "tm-threads", "telemetry-server", "telemetry-client",
-             "zipf", "hot-keys", "recorder-out", "abort-rate-trigger",
-             "monitor", "prom-out", "slo-abort-rate", "slo-fast-ms",
-             "slo-slow-ms"});
+             "zipf", "hot-keys", "recorder-out", "monitor", "prom-out",
+             "slo-abort-rate", "slo-fast-ms", "slo-slow-ms"});
     LoadConfig load;
     load.socket_path = cli.get("socket", "/tmp/rococo_loadgen_" +
                                              std::to_string(getpid()) +
@@ -594,7 +589,6 @@ main(int argc, char** argv)
     load.hot_keys = static_cast<uint64_t>(
         std::max<int64_t>(0, cli.get_int("hot-keys", 0)));
     load.recorder_out = cli.get("recorder-out", "");
-    load.abort_rate_trigger = cli.get_double("abort-rate-trigger", 0.0);
     load.monitor = cli.get_bool("monitor", true);
     load.prom_out = cli.get("prom-out", "");
     load.slo_abort_rate = cli.get_double("slo-abort-rate", 0.0);
@@ -731,16 +725,18 @@ main(int argc, char** argv)
         if (ratio < assert_mt_speedup) return 1;
     }
 
-    // An armed trigger that never fired is a failed run: the incident
+    // An armed SLO that never dumped is a failed run: the incident
     // fixture (tests/) relies on this exit code, and interactively it
     // catches a threshold set above the spike actually produced.
-    if (!load.recorder_out.empty() && load.abort_rate_trigger > 0) {
+    if (!load.recorder_out.empty() && load.monitor &&
+        load.slo_abort_rate > 0) {
         const std::string incident = load.recorder_out + "-1.json";
         if (access(incident.c_str(), F_OK) != 0) {
             std::fprintf(stderr,
-                         "svc_loadgen: recorder armed (threshold %.3f) but"
-                         " no incident was dumped (%s missing)\n",
-                         load.abort_rate_trigger, incident.c_str());
+                         "svc_loadgen: recorder and abort-rate SLO armed"
+                         " (threshold %.3f) but no incident was dumped"
+                         " (%s missing)\n",
+                         load.slo_abort_rate, incident.c_str());
             return 1;
         }
         std::printf("incident: %s\n", incident.c_str());

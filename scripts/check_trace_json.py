@@ -62,11 +62,13 @@ pass as "no drops".
 
 --incident switches to validating a flight-recorder incident file
 (obs/flight_recorder.h) instead of a telemetry envelope: the "incident"
-header (trigger in {abort-rate, p99, manual}, pid, seq >= 1, t_ns), a
-non-empty "samples" ring with monotone timestamps and abort_rate in
-[0, 1], the "metrics" registry snapshot, the "topk" hot-key table
-(entries sorted by count, error <= count), and a "traceEvents" list
-(possibly empty) in the usual Chrome shape.
+header (trigger "manual" or "slo:<rule>", pid, seq >= 1, t_ns), the
+"health" section holding the monitor's look-back rings (at least one
+point; per series monotone timestamps, ratio values in [0, 1], rates
+and quantiles >= 0) and SLO verdicts (transition rings in time order),
+the "metrics" registry snapshot, the "topk" hot-key table (entries
+sorted by count, error <= count), and a "traceEvents" list (possibly
+empty) in the usual Chrome shape.
 
 Exit status 0 if all checks pass; 1 with a message on stderr otherwise.
 
@@ -326,18 +328,72 @@ def check_flows(events, max_orphans, require):
     return linked
 
 
-INCIDENT_TRIGGERS = ("abort-rate", "p99", "manual")
+INCIDENT_TRIGGERS = ("manual",)
 # SLO-triggered incidents (obs/health.cc) use "slo:<rule-name>".
 SLO_TRIGGER_PREFIX = "slo:"
-SAMPLE_KEYS = (
-    "t_ns", "aborts", "total", "abort_rate", "p99_ns", "queue_depth",
-    "imbalance",
-)
+# Series kinds whose values must be non-negative (rates, latencies).
+NON_NEGATIVE_KINDS = ("counter", "quantile")
+
+
+def check_health_rings(health):
+    """The incident's look-back: the HealthMonitor's series rings
+    (health.samples, obs::MetricSampler::to_json) and the SLO transition
+    rings (health.health.rules[].transitions). Returns the point count.
+    """
+    if health.get("enabled") is not True:
+        fail("incident has no look-back: health.enabled is not true "
+             "(the recorder needs a HealthMonitor attached)")
+    verdict = health.get("health")
+    if not isinstance(verdict, dict) or "state" not in verdict:
+        fail("incident lacks health.health.state")
+    for r, rule in enumerate(verdict.get("rules", [])):
+        last_t = None
+        for t, transition in enumerate(rule.get("transitions", [])):
+            if last_t is not None and transition["t_ns"] < last_t:
+                fail(f"health.health.rules[{r}].transitions[{t}].t_ns "
+                     f"goes backwards")
+            last_t = transition["t_ns"]
+    samples = health.get("samples")
+    if not isinstance(samples, dict) or not isinstance(
+            samples.get("series"), list):
+        fail('incident lacks health.samples with a "series" array (the '
+             "monitor's rings)")
+    total = 0
+    for i, series in enumerate(samples["series"]):
+        name = series.get("name", i)
+        kind = series.get("kind")
+        points = series.get("points")
+        if not isinstance(points, list):
+            fail(f"health.samples series {name!r} lacks a points array")
+        last_t = None
+        for j, point in enumerate(points):
+            if not isinstance(point, list) or len(point) != 3:
+                fail(f"series {name!r} point {j} is not [t_ns, raw, "
+                     f"value|null]")
+            t_ns, raw, value = point
+            if last_t is not None and t_ns < last_t:
+                fail(f"series {name!r} point {j}: t_ns goes backwards "
+                     f"(ring rotation must preserve time order)")
+            last_t = t_ns
+            if value is None:
+                continue
+            if kind == "ratio" and not 0 <= value <= 1:
+                fail(f"series {name!r} point {j}: ratio {value} outside "
+                     f"[0, 1]")
+            if kind in NON_NEGATIVE_KINDS and (value < 0 or raw < 0):
+                fail(f"series {name!r} point {j}: negative {kind} "
+                     f"({raw}, {value})")
+        total += len(points)
+    if total == 0:
+        fail("health.samples rings are all empty (the monitor samples "
+             "on its first tick, before any incident)")
+    return total
 
 
 def check_incident(doc):
     """Validate a flight-recorder incident file (obs/flight_recorder.cc
-    dump_locked writes it; svcctl dump / the trigger rules produce it).
+    dump writes it; svcctl dump / the SLO engine's critical
+    transitions produce it).
     """
     if not isinstance(doc, dict):
         fail("top level is not a JSON object")
@@ -355,23 +411,6 @@ def check_incident(doc):
             fail(f"incident.{key} missing or not an integer")
     if header["seq"] < 1:
         fail(f"incident.seq = {header['seq']} (numbered from 1)")
-
-    samples = doc.get("samples")
-    if not isinstance(samples, list) or not samples:
-        fail('missing or empty "samples" array (the recorder ring '
-             "always holds the triggering sample)")
-    last_t = None
-    for i, sample in enumerate(samples):
-        for key in SAMPLE_KEYS:
-            if key not in sample:
-                fail(f"samples[{i}] lacks required key {key!r}")
-        if not 0 <= sample["abort_rate"] <= 1:
-            fail(f"samples[{i}].abort_rate = {sample['abort_rate']} "
-                 f"outside [0, 1]")
-        if last_t is not None and sample["t_ns"] < last_t:
-            fail(f"samples[{i}].t_ns goes backwards (ring rotation "
-                 f"must preserve time order)")
-        last_t = sample["t_ns"]
 
     check_metrics_shape(doc)
 
@@ -399,18 +438,8 @@ def check_incident(doc):
 
     health = doc.get("health")
     if not isinstance(health, dict):
-        fail('missing "health" object ({} when no monitor is attached)')
-    if is_slo:
-        # An SLO-triggered dump always comes from a live HealthMonitor,
-        # so the embedded status must carry the verdict that fired.
-        if health.get("enabled") is not True:
-            fail("slo-triggered incident lacks health.enabled: true")
-        verdict = health.get("health")
-        if not isinstance(verdict, dict) or "state" not in verdict:
-            fail("slo-triggered incident lacks health.health.state")
-        if not isinstance(health.get("samples"), dict):
-            fail("slo-triggered incident lacks health.samples (the "
-             "breaching series rings)")
+        fail('missing "health" object')
+    points = check_health_rings(health)
 
     events = doc.get("traceEvents")
     if not isinstance(events, list):
@@ -419,7 +448,7 @@ def check_incident(doc):
 
     print(
         f"check_trace_json: OK: incident ({trigger}, seq "
-        f"{header['seq']}), {len(samples)} samples, "
+        f"{header['seq']}), {points} ring points, "
         f"{sum(len(s.get('entries', [])) for s in topk['shards'])} "
         f"hot keys, {len(events)} events"
     )

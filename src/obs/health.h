@@ -20,11 +20,14 @@
 /// consecutive calmer evaluations (hysteresis), so a flapping series
 /// produces one incident, not one per oscillation.
 ///
-/// The engine is wired into the FlightRecorder as a trigger source: a
-/// transition *into* kCritical fires an incident dump named
-/// "slo:<rule>", and every incident (whatever its trigger) embeds the
-/// sampler rings + rule verdicts via the recorder's health source — the
-/// offending series ships inside the incident file.
+/// The engine is the FlightRecorder's only automatic trigger: a
+/// transition *into* kCritical dumps an incident named "slo:<rule>"
+/// (the recorder itself samples nothing and has no rules; the only
+/// other dumps are manual). Hysteresis is the rate limit: a rule must
+/// calm down to below kCritical before it can dump again. Every
+/// incident, whatever its trigger, embeds the sampler rings + rule
+/// verdicts via the recorder's health source — the rings are the
+/// incident's look-back, so the offending series ships inside the file.
 ///
 /// HealthMonitor composes sampler + engine behind the single tick()
 /// owners already call (svc::Server's poll loop, the TM per-attempt
@@ -154,8 +157,10 @@ class SloEngine
 struct MonitorConfig
 {
     /// Master switch. The server defaults it on (monitoring is the
-    /// point of running a service); the TM defaults it off like the
-    /// flight recorder (library embedders opt in).
+    /// point of running a service); the TM defaults it off (library
+    /// embedders opt in). The flight recorder dumps automatically only
+    /// through these rules, so a recorder without a monitor writes
+    /// manual incidents only.
     bool enabled = true;
     uint64_t sample_period_ns = 250'000'000; // 250 ms
     size_t ring_capacity = 256;              ///< 64 s at 250 ms

@@ -79,12 +79,17 @@ MetricSampler::index_of(const std::string& name) const
 bool
 MetricSampler::tick(uint64_t now_ns)
 {
-    // Same fast pre-check as FlightRecorder::tick — a torn/stale read
-    // of last_sample_ns_ only skews one sampling decision by a period.
-    if (now_ns - last_sample_ns_ < config_.sample_period_ns) return false;
+    // Fast pre-check outside the lock: a stale read only skews one
+    // sampling decision, which is re-made under the lock.
+    const uint64_t period = config_.sample_period_ns;
+    if (now_ns - last_sample_ns_.load(std::memory_order_relaxed) < period) {
+        return false;
+    }
     std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
     if (!lock.owns_lock()) return false;
-    if (now_ns - last_sample_ns_ < config_.sample_period_ns) return false;
+    if (now_ns - last_sample_ns_.load(std::memory_order_relaxed) < period) {
+        return false;
+    }
     sample_locked(now_ns);
     return true;
 }
@@ -143,9 +148,9 @@ MetricSampler::sample_locked(uint64_t now_ns)
             if (s.primed) {
                 const double dnum = std::max(0.0, num - s.prev_num);
                 const double dden = std::max(0.0, den - s.prev_den);
-                // Clamped like the recorder's abort rate: the sources
-                // are read one by one, so under a full-tilt storm the
-                // numerator delta can slightly outrun the denominator.
+                // Clamped to 1: the sources are read one by one, so
+                // under a full-tilt storm the numerator delta can
+                // slightly outrun the denominator.
                 p.value = dden > 0.0 ? std::min(1.0, dnum / dden) : 0.0;
                 p.raw = p.value;
                 p.delta = dnum;
@@ -184,7 +189,7 @@ MetricSampler::sample_locked(uint64_t now_ns)
         s.ring.push(p);
         s.primed = true;
     }
-    last_sample_ns_ = now_ns;
+    last_sample_ns_.store(now_ns, std::memory_order_relaxed);
     ++samples_taken_;
 }
 
@@ -232,7 +237,8 @@ MetricSampler::to_json(std::string* out) const
     std::snprintf(buf, sizeof buf,
                   "{\"now_ns\": %" PRIu64 ", \"period_ns\": %" PRIu64
                   ", \"series\": [",
-                  last_sample_ns_, config_.sample_period_ns);
+                  last_sample_ns_.load(std::memory_order_relaxed),
+                  config_.sample_period_ns);
     *out += buf;
     for (size_t i = 0; i < series_.size(); ++i) {
         const Series& s = series_[i];

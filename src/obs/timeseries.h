@@ -11,9 +11,9 @@
 /// its multi-window burn-rate rules over, and the payload of the
 /// kSeries wire op (svcctl watch / svcctl monitor).
 ///
-/// Threading: like the FlightRecorder, the sampler owns NO thread.
-/// Owners call tick(now) from a loop they already run (svc::Server's
-/// poll loop, the TM per-attempt tick); tick() is one load + compare
+/// Threading: the sampler owns NO thread. Owners call tick(now) from
+/// a loop they already run (svc::Server's poll loop, the TM
+/// per-attempt tick); tick() is one relaxed load + compare
 /// when no sample is due and uses try_lock so concurrent owners never
 /// contend. Readers (window(), to_json()) take the same mutex.
 ///
@@ -24,6 +24,7 @@
 /// sampler + SLO engine).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -193,7 +194,9 @@ class MetricSampler
     MetricSamplerConfig config_;
     mutable std::mutex mutex_;
     std::vector<Series> series_;
-    uint64_t last_sample_ns_ = 0;
+    /// Read outside the mutex by tick()'s pre-check, hence atomic;
+    /// relaxed is enough because the decision is re-made under the lock.
+    std::atomic<uint64_t> last_sample_ns_{0};
     uint64_t samples_taken_ = 0;
 };
 

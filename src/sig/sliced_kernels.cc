@@ -6,13 +6,6 @@
 #if defined(__x86_64__) && defined(__GNUC__)
 #define ROCOCO_SIMD_X86 1
 #include <immintrin.h>
-// GCC 12's AVX-512 intrinsic headers trip -Wmaybe-uninitialized on
-// their _mm512_undefined_* internals once inlined; the warning is about
-// the header's own deliberate "start from garbage" idiom, not this
-// code.
-#if !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
 #else
 #define ROCOCO_SIMD_X86 0
 #endif
@@ -289,203 +282,12 @@ classify_avx2(const SlicedView& read_plane, const SlicedView& write_plane,
     wr[0] |= wr_out;
 }
 
-__attribute__((target("avx512f,avx512dq"))) void
-match_any_avx512(const SlicedView& v, const uint64_t* keys, size_t count,
-                 uint64_t* acc)
-{
-    if (v.mask_words == 1) {
-        // W <= 64: eight addresses per pass. Lane masks make partial
-        // batches first-class, so the common 4-read/4-write request
-        // still takes the vector path instead of a scalar tail.
-        uint64_t out = 0;
-        const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(v.hash_shift));
-        for (size_t j = 0; j < count; j += 8) {
-            const size_t rem = count - j;
-            const __mmask8 lanemask =
-                rem >= 8 ? static_cast<__mmask8>(0xFF)
-                         : static_cast<__mmask8>((1u << rem) - 1);
-            const __m512i keys8 = _mm512_maskz_loadu_epi64(lanemask, keys + j);
-            __m512i idx = _mm512_srl_epi64(
-                _mm512_mullo_epi64(keys8, _mm512_set1_epi64(static_cast<long long>(
-                                              v.multipliers[0]))),
-                shift);
-            __m512i m = _mm512_mask_i64gather_epi64(
-                _mm512_setzero_si512(), lanemask, idx, v.columns, 8);
-            for (unsigned i = 1; i < v.k; ++i) {
-                if (_mm512_test_epi64_mask(m, m) == 0) break;
-                idx = _mm512_srl_epi64(
-                    _mm512_mullo_epi64(keys8,
-                                       _mm512_set1_epi64(static_cast<long long>(
-                                           v.multipliers[i]))),
-                    shift);
-                idx = _mm512_add_epi64(
-                    idx, _mm512_set1_epi64(static_cast<long long>(
-                             uint64_t{i} * v.partition_bits)));
-                m = _mm512_and_si512(
-                    m, _mm512_mask_i64gather_epi64(_mm512_setzero_si512(),
-                                                   lanemask, idx, v.columns,
-                                                   8));
-            }
-            out |= static_cast<uint64_t>(_mm512_reduce_or_epi64(m));
-        }
-        acc[0] |= out;
-        return;
-    }
-    // W > 64: per address, AND the k column ranges eight words per op;
-    // the word tail runs lane-masked rather than scalar. Columns
-    // narrower than half a vector stay scalar.
-    if (v.k > kMaxK || v.mask_words < 4) {
-        match_any_scalar(v, keys, count, acc);
-        return;
-    }
-    const uint64_t* bases[kMaxK];
-    for (size_t j = 0; j < count; ++j) {
-        const uint64_t key = keys[j];
-        for (unsigned i = 0; i < v.k; ++i) {
-            bases[i] = v.columns + hash_bit(v, key, i) * v.mask_words;
-        }
-        size_t w = 0;
-        for (; w + 8 <= v.mask_words; w += 8) {
-            __m512i m = _mm512_loadu_si512(bases[0] + w);
-            for (unsigned i = 1; i < v.k; ++i) {
-                if (_mm512_test_epi64_mask(m, m) == 0) break;
-                m = _mm512_and_si512(m, _mm512_loadu_si512(bases[i] + w));
-            }
-            _mm512_storeu_si512(acc + w,
-                                _mm512_or_si512(_mm512_loadu_si512(acc + w),
-                                                m));
-        }
-        if (w < v.mask_words) {
-            const __mmask8 tail = static_cast<__mmask8>(
-                (1u << (v.mask_words - w)) - 1);
-            __m512i m = _mm512_maskz_loadu_epi64(tail, bases[0] + w);
-            for (unsigned i = 1; i < v.k; ++i) {
-                if (_mm512_test_epi64_mask(m, m) == 0) break;
-                m = _mm512_and_si512(
-                    m, _mm512_maskz_loadu_epi64(tail, bases[i] + w));
-            }
-            const __m512i a = _mm512_maskz_loadu_epi64(tail, acc + w);
-            _mm512_mask_storeu_epi64(acc + w, tail, _mm512_or_si512(a, m));
-        }
-    }
-}
-
-__attribute__((target("avx512f,avx512dq"))) void
-classify_avx512(const SlicedView& read_plane, const SlicedView& write_plane,
-                const uint64_t* reads, size_t read_count,
-                const uint64_t* writes, size_t write_count, uint64_t* rd,
-                uint64_t* wr)
-{
-    const SlicedView& v = write_plane; // shared geometry; columns differ
-    if (v.mask_words != 1 || v.k > kMaxK) {
-        match_any_avx512(write_plane, reads, read_count, rd);
-        match_any_avx512(write_plane, writes, write_count, wr);
-        match_any_avx512(read_plane, writes, write_count, wr);
-        return;
-    }
-    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(v.hash_shift));
-    uint64_t rd_out = 0;
-    uint64_t wr_out = 0;
-    __m512i idxs[kMaxK];
-
-    if (read_count + write_count <= 8) {
-        // The whole request in one register batch: reads in the low
-        // lanes, writes above them, hashed together; the write-plane
-        // chain classifies every address at once and the lane split
-        // routes matches to rd vs wr.
-        const size_t total = read_count + write_count;
-        if (total == 0) return;
-        uint64_t buf[8];
-        for (size_t j = 0; j < read_count; ++j) buf[j] = reads[j];
-        for (size_t j = 0; j < write_count; ++j) {
-            buf[read_count + j] = writes[j];
-        }
-        const __mmask8 all = static_cast<__mmask8>((1u << total) - 1);
-        const __mmask8 rmask = static_cast<__mmask8>((1u << read_count) - 1);
-        const __mmask8 wmask = static_cast<__mmask8>(all ^ rmask);
-        const __m512i keys8 = _mm512_maskz_loadu_epi64(all, buf);
-        // Both plane chains run branchless off the same index vectors
-        // (dead lanes AND to zero; the masked reduces drop them), the
-        // two gather streams interleaved to hide latency.
-        __m512i m = _mm512_setzero_si512();
-        __m512i m2 = _mm512_setzero_si512();
-        for (unsigned i = 0; i < v.k; ++i) {
-            __m512i idx = _mm512_srl_epi64(
-                _mm512_mullo_epi64(keys8,
-                                   _mm512_set1_epi64(static_cast<long long>(
-                                       v.multipliers[i]))),
-                shift);
-            idx = _mm512_add_epi64(idx,
-                                   _mm512_set1_epi64(static_cast<long long>(
-                                       uint64_t{i} * v.partition_bits)));
-            const __m512i wcol = _mm512_mask_i64gather_epi64(
-                _mm512_setzero_si512(), all, idx, write_plane.columns, 8);
-            const __m512i rcol = _mm512_mask_i64gather_epi64(
-                _mm512_setzero_si512(), wmask, idx, read_plane.columns, 8);
-            m = i == 0 ? wcol : _mm512_and_si512(m, wcol);
-            m2 = i == 0 ? rcol : _mm512_and_si512(m2, rcol);
-        }
-        rd_out = static_cast<uint64_t>(
-            _mm512_reduce_or_epi64(_mm512_maskz_mov_epi64(rmask, m)));
-        wr_out = static_cast<uint64_t>(_mm512_reduce_or_epi64(
-            _mm512_or_si512(_mm512_maskz_mov_epi64(wmask, m), m2)));
-        rd[0] |= rd_out;
-        wr[0] |= wr_out;
-        return;
-    }
-
-    // Oversized request: reads through the single-plane path, writes in
-    // batches that hash once and run both plane chains.
-    match_any_avx512(write_plane, reads, read_count, rd);
-    for (size_t j = 0; j < write_count; j += 8) {
-        const size_t rem = write_count - j;
-        const __mmask8 lanemask = rem >= 8
-                                      ? static_cast<__mmask8>(0xFF)
-                                      : static_cast<__mmask8>((1u << rem) - 1);
-        const __m512i keys8 = _mm512_maskz_loadu_epi64(lanemask, writes + j);
-        for (unsigned i = 0; i < v.k; ++i) {
-            const __m512i idx = _mm512_srl_epi64(
-                _mm512_mullo_epi64(keys8,
-                                   _mm512_set1_epi64(static_cast<long long>(
-                                       v.multipliers[i]))),
-                shift);
-            idxs[i] = _mm512_add_epi64(
-                idx, _mm512_set1_epi64(static_cast<long long>(
-                         uint64_t{i} * v.partition_bits)));
-        }
-        __m512i m = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(),
-                                                lanemask, idxs[0],
-                                                write_plane.columns, 8);
-        for (unsigned i = 1; i < v.k; ++i) {
-            if (_mm512_test_epi64_mask(m, m) == 0) break;
-            m = _mm512_and_si512(
-                m, _mm512_mask_i64gather_epi64(_mm512_setzero_si512(),
-                                               lanemask, idxs[i],
-                                               write_plane.columns, 8));
-        }
-        __m512i m2 = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(),
-                                                 lanemask, idxs[0],
-                                                 read_plane.columns, 8);
-        for (unsigned i = 1; i < v.k; ++i) {
-            if (_mm512_test_epi64_mask(m2, m2) == 0) break;
-            m2 = _mm512_and_si512(
-                m2, _mm512_mask_i64gather_epi64(_mm512_setzero_si512(),
-                                                lanemask, idxs[i],
-                                                read_plane.columns, 8));
-        }
-        wr_out |= static_cast<uint64_t>(
-            _mm512_reduce_or_epi64(_mm512_or_si512(m, m2)));
-    }
-    wr[0] |= wr_out;
-}
-
 #endif // ROCOCO_SIMD_X86
 
 constexpr MatchKernel kCompiled[] = {
     MatchKernel::kScalar,
 #if ROCOCO_SIMD_X86
     MatchKernel::kAvx2,
-    MatchKernel::kAvx512,
 #endif
 };
 
@@ -498,9 +300,6 @@ cpu_supports(MatchKernel kernel)
 #if ROCOCO_SIMD_X86
     case MatchKernel::kAvx2:
         return __builtin_cpu_supports("avx2") != 0;
-    case MatchKernel::kAvx512:
-        return __builtin_cpu_supports("avx512f") != 0 &&
-               __builtin_cpu_supports("avx512dq") != 0;
 #endif
     default:
         return false;
@@ -535,8 +334,6 @@ to_string(MatchKernel kernel)
         return "scalar";
     case MatchKernel::kAvx2:
         return "avx2";
-    case MatchKernel::kAvx512:
-        return "avx512";
     }
     return "unknown";
 }
@@ -578,8 +375,6 @@ kernel_fn(MatchKernel kernel)
 #if ROCOCO_SIMD_X86
     case MatchKernel::kAvx2:
         return &match_any_avx2;
-    case MatchKernel::kAvx512:
-        return &match_any_avx512;
 #endif
     default:
         return &match_any_scalar;
@@ -594,8 +389,6 @@ classify_kernel_fn(MatchKernel kernel)
 #if ROCOCO_SIMD_X86
     case MatchKernel::kAvx2:
         return &classify_avx2;
-    case MatchKernel::kAvx512:
-        return &classify_avx512;
 #endif
     default:
         return &classify_scalar;

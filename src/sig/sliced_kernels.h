@@ -6,14 +6,17 @@
 /// The scalar walk does, per address, k dependent column loads ANDed one
 /// word at a time. The comparator array the RTL wires up has no such
 /// serialization, and neither does the data layout here: for W <= 64 the
-/// whole match vector is one 64-bit word, so a 256-bit (AVX2) or 512-bit
-/// (AVX-512) register holds the match vectors of 4 or 8 *addresses* at
-/// once — the multiply-shift hash is computed vectorially (the paper
+/// whole match vector is one 64-bit word, so a 256-bit (AVX2) register
+/// holds the match vectors of 4 *addresses* at once — the multiply-shift
+/// hash is computed vectorially (the paper
 /// picked that family precisely because "a signature can be computed
 /// with a handful of AVX instructions", §5.2), the k columns are
 /// gathered per lane, and one AND chain classifies the whole batch. For
-/// W > 64 the kernels instead AND 4/8 column *words* per op for a single
+/// W > 64 the kernel instead ANDs 4 column *words* per op for a single
 /// address.
+///
+/// There is no AVX-512 kernel: on an AVX-512 F/DQ Xeon one lost to AVX2
+/// at W=64 and matched scalar at W=128 (docs/PERFORMANCE.md).
 ///
 /// Kernels are selected at runtime from cpuid: every kernel compiled
 /// into the binary (per-function `target` attributes, no global -m
@@ -56,7 +59,6 @@ struct SlicedView {
 enum class MatchKernel : uint8_t {
     kScalar = 0, ///< portable word-at-a-time walk (the oracle)
     kAvx2 = 1,   ///< 256-bit: 4 addresses (W<=64) / 4 column words per op
-    kAvx512 = 2, ///< 512-bit: 8 addresses (W<=64) / 8 column words per op
 };
 
 /// acc |= OR over keys of (AND over i<k of column[bit_index(key, i)]).
@@ -72,10 +74,9 @@ using MatchAnyFn = void (*)(const SlicedView& view, const uint64_t* keys,
 ///
 /// Both planes share one hash family, so each address is hashed exactly
 /// once (the unfused path hashes every write twice), and for W <= 64
-/// the wide kernels pack reads and writes into the *same* register
-/// batch — the common 4-read/4-write request fills all eight AVX-512
-/// lanes instead of running three half-empty passes. Decision-identical
-/// to three match_any calls by construction (same loads, same ANDs).
+/// the AVX2 kernel runs both plane chains off the same index vectors
+/// instead of three separate passes. Decision-identical to three
+/// match_any calls by construction (same loads, same ANDs).
 using ClassifyFn = void (*)(const SlicedView& read_plane,
                             const SlicedView& write_plane,
                             const uint64_t* reads, size_t read_count,

@@ -91,19 +91,8 @@ Server::Server(const ServerConfig& config)
     }
 
     if (config_.recorder.enabled) {
-        // Empty watch lists default to the service series.
-        obs::FlightRecorderConfig rec = config_.recorder;
-        if (rec.abort_counters.empty()) {
-            rec.abort_counters = {"svc.verdict.abort-cycle"};
-        }
-        if (rec.total_counters.empty()) rec.total_counters = {"svc.requests"};
-        if (rec.watch_histogram.empty()) rec.watch_histogram = "svc.rpc_ns";
-        if (rec.queue_gauge.empty()) rec.queue_gauge = "svc.queue_depth";
-        if (rec.imbalance_gauge.empty()) {
-            rec.imbalance_gauge = "shard.imbalance";
-        }
         recorder_ = std::make_unique<obs::FlightRecorder>(
-            std::move(rec), [this](obs::Registry& out) {
+            config_.recorder, [this](obs::Registry& out) {
                 out.merge(registry_);
                 router_.export_metrics(out);
             });
@@ -217,7 +206,7 @@ Server::Server(const ServerConfig& config)
             return r;
         };
         // Aborts need real traffic behind them (min 16 requests per
-        // fast window, matching the recorder's min_delta_total).
+        // fast window), so one abort in an idle period cannot fire.
         slo.rules.push_back(
             rule("abort-rate", "svc.abort_rate",
                  mon.abort_rate_threshold, 16.0));
@@ -360,17 +349,12 @@ Server::loop()
 
         // Block only when idle: with work queued, poll() is a
         // zero-timeout drain of whatever arrived during the last batch
-        // — that accumulation IS the adaptive batch. With a flight
-        // recorder attached the idle block is capped at its sampling
-        // period, so the ring keeps recording through traffic pauses.
+        // — that accumulation IS the adaptive batch.
         int timeout_ms = pending_.empty() ? -1 : 0;
-        if (recorder_ && timeout_ms < 0) {
-            timeout_ms = static_cast<int>(std::clamp<uint64_t>(
-                recorder_->config().sample_period_ns / 1'000'000, 1, 1000));
-        }
         if (monitor_ && timeout_ms < 0) {
-            // Same idle-wakeup cap for the sampler: the rings (and the
-            // SLO recovery path) keep moving through traffic pauses.
+            // With a monitor the idle block is capped at its sampling
+            // period: the rings (and the SLO recovery path) keep moving
+            // through traffic pauses.
             timeout_ms = static_cast<int>(std::clamp<uint64_t>(
                 monitor_->sampler().config().sample_period_ns / 1'000'000, 1,
                 1000));
@@ -411,9 +395,7 @@ Server::loop()
         queue_depth_.set(static_cast<double>(
             workers_ ? workers_->in_flight() : pending_.size()));
         refresh_worker_gauges();
-        const uint64_t tick_ns = obs::now_ns();
-        if (recorder_) recorder_->tick(tick_ns);
-        if (monitor_) monitor_->tick(tick_ns);
+        if (monitor_) monitor_->tick(obs::now_ns());
     }
 }
 
@@ -497,8 +479,7 @@ Server::read_client(int fd)
             }
             continue;
         }
-        if (frame->type != MsgType::kRequest &&
-            frame->type != MsgType::kRequestV2) {
+        if (frame->type != MsgType::kRequest) {
             malformed = true;
             break;
         }
@@ -508,7 +489,6 @@ Server::read_client(int fd)
             malformed = true;
             break;
         }
-        const bool v2 = frame->type == MsgType::kRequestV2;
         requests_.add(1);
         if (workers_) {
             // Worker mode: the job slab is the pending bound — an
@@ -520,7 +500,7 @@ Server::read_client(int fd)
                 if (!respond(fd, generation, request->request_id,
                              {core::Verdict::kRejected, 0,
                               obs::AbortReason::kBackpressure},
-                             v2, {})) {
+                             {})) {
                     return; // connection closed; conn dangles
                 }
                 continue;
@@ -532,7 +512,6 @@ Server::read_client(int fd)
             job->deadline_ns = request->deadline_ns;
             job->trace_id = request->trace_id;
             job->parent_span_id = request->parent_span_id;
-            job->v2 = v2;
             job->offload = std::move(request->offload);
             workers_->submit(job);
             continue;
@@ -542,14 +521,14 @@ Server::read_client(int fd)
             if (!respond(fd, generation, request->request_id,
                          {core::Verdict::kRejected, 0,
                           obs::AbortReason::kBackpressure},
-                         v2, {})) {
+                         {})) {
                 return; // connection closed (outbound cap); conn dangles
             }
             continue;
         }
         pending_.push_back({fd, generation, request->request_id, now,
                             request->deadline_ns, request->trace_id,
-                            request->parent_span_id, v2,
+                            request->parent_span_id,
                             std::move(request->offload)});
     }
     if (malformed) {
@@ -705,7 +684,7 @@ Server::close_client(int fd)
 
 bool
 Server::respond(int fd, uint64_t generation, uint64_t request_id,
-                const core::ValidationResult& result, bool v2,
+                const core::ValidationResult& result,
                 const StageTimestamps& stages)
 {
     auto it = connections_.find(fd);
@@ -713,7 +692,7 @@ Server::respond(int fd, uint64_t generation, uint64_t request_id,
         return false; // client gone (or fd recycled); answer dropped
     }
     Connection& conn = it->second;
-    encode_response(conn.out, {request_id, result, stages, v2}, v2);
+    encode_response(conn.out, {request_id, result, stages});
     if (conn.out.size() - conn.out_off > config_.max_out_bytes) {
         // The peer keeps submitting but is not reading its responses;
         // disconnecting it is the only alternative to unbounded
@@ -793,7 +772,7 @@ Server::process_batch()
 #endif
         }
         respond(pending.fd, pending.generation, pending.request_id, result,
-                pending.v2, stages);
+                stages);
         rpc_ns_.record(pass_start - pending.arrival_ns);
     }
     if (engine_passes > 0) {
@@ -866,7 +845,7 @@ Server::finish_job(WorkerJob* job)
 #endif
     }
     respond(job->fd, job->generation, job->request_id, job->result,
-            job->v2, job->stages);
+            job->stages);
     rpc_ns_.record(obs::now_ns() - job->arrival_ns);
 }
 

@@ -53,14 +53,14 @@
 /// hot-key table, svc.topk) and kDump (manual flight-recorder incident,
 /// svc.dump) follow the same inline contract. Per-stage latency is
 /// attributed into svc.stage.{server_queue,batch_wait,engine,link}
-/// histograms and shipped back to v2 clients in every response
-/// (wire.h StageTimestamps); when a v2 request carries a trace id and
+/// histograms and shipped back in every response (wire.h
+/// StageTimestamps); when a request carries a trace id and
 /// a tracer is active, the engine pass emits a server-side span plus a
 /// Perfetto flow-end event binding it to the client's span.
 ///
 /// Threading: start() spawns one IO thread running a poll() loop that
 /// does accept/read/decode, the inline introspection ops, response
-/// writes, all svc.* accounting, and the recorder/monitor ticks. With
+/// writes, all svc.* accounting, and the monitor tick. With
 /// ServerConfig::worker_threads == 0 (the default) that thread also
 /// runs the engine batch inline — the original single-threaded server.
 /// With worker_threads == N > 0 the engine passes move to a
@@ -132,9 +132,8 @@ struct ServerConfig
     /// frame; 0 selects the default).
     size_t max_out_bytes = 1 << 20;
     /// Flight recorder (obs/flight_recorder.h). recorder.enabled = true
-    /// turns it on; empty watch lists default to the service series
-    /// (svc.verdict.abort-cycle / svc.requests / svc.rpc_ns /
-    /// svc.queue_depth / shard.imbalance). The recorder ticks on the
+    /// turns it on: kDump writes a manual incident, and with the monitor
+    /// on a critical SLO dumps "slo:<rule>". Every dump runs on the
     /// service thread, which is also the sole server-side span writer,
     /// so recorder.include_trace is safe here.
     obs::FlightRecorderConfig recorder;
@@ -197,7 +196,6 @@ class Server
         uint64_t deadline_ns = 0; ///< relative to arrival; 0 = none
         uint64_t trace_id = 0;       ///< flow-event binding id (0 = none)
         uint64_t parent_span_id = 0; ///< client span this request came from
-        bool v2 = false; ///< reply version mirrors the request version
         fpga::OffloadRequest offload;
     };
 
@@ -226,9 +224,9 @@ class Server
     /// generation matches. False if the answer was dropped (connection
     /// gone or fd recycled) or the connection was closed for exceeding
     /// the outbound cap — either way @p fd must not be touched again.
-    /// @p stages rides along in a v2 response when @p v2.
+    /// @p stages rides along in the response.
     bool respond(int fd, uint64_t generation, uint64_t request_id,
-                 const core::ValidationResult& result, bool v2,
+                 const core::ValidationResult& result,
                  const StageTimestamps& stages);
     void process_batch();
     /// Worker mode: pull every finished job off the completion queue,
@@ -243,11 +241,11 @@ class Server
 
     ServerConfig config_;
     shard::ShardRouter router_;
-    /// Present iff config_.recorder.enabled; ticked from the service
-    /// loop, dumped from kDump handling (both on the service thread).
+    /// Present iff config_.recorder.enabled; dumped from kDump handling
+    /// and the monitor's SLO hook (both on the service thread).
     std::unique_ptr<obs::FlightRecorder> recorder_;
-    /// Present iff config_.monitor.enabled; ticked from the service
-    /// loop right after the recorder. Its gauge/callback series read
+    /// Present iff config_.monitor.enabled; ticked at the end of every
+    /// service-loop pass. Its gauge/callback series read
     /// service-thread state (pending_, connections_, the router), which
     /// is safe because every tick happens on the service thread.
     std::unique_ptr<obs::HealthMonitor> monitor_;

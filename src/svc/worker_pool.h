@@ -9,7 +9,7 @@
 ///
 ///   IO thread (Server::loop) — accept/read/decode, the inline
 ///       introspection ops, respond()/flush(), every svc.* accounting
-///       counter, trace spans, recorder/monitor ticks. Sole writer of
+///       counter, trace spans, the monitor tick. Sole writer of
 ///       all connection state and the accounting invariant.
 ///   workers — deadline check + router_.process() only. A worker
 ///       touches the router (whose counters are its own lock-free
@@ -79,7 +79,6 @@ struct WorkerJob
     uint64_t deadline_ns = 0;    ///< relative to arrival; 0 = none
     uint64_t trace_id = 0;       ///< flow-event binding id (0 = none)
     uint64_t parent_span_id = 0; ///< client span this request came from
-    bool v2 = false;             ///< reply version mirrors the request
     fpga::OffloadRequest offload;
 
     // -- filled by the worker before completion --

@@ -183,36 +183,6 @@ RococoTm::RococoTm(const RococoTmConfig& config)
         stage_engine_ =
             &obs::Registry::global().histogram("fpga.stage.engine");
     }
-    if (config_.recorder.enabled) {
-        obs::FlightRecorderConfig rec = config_.recorder;
-        if (rec.abort_counters.empty()) rec.abort_counters = {stat::kAborts};
-        if (rec.total_counters.empty()) {
-            rec.total_counters = {stat::kCommits, stat::kAborts};
-        }
-        // Every worker thread writes spans here — a trace-including
-        // dump would race the rings (see obs/flight_recorder.h).
-        rec.include_trace = false;
-        recorder_ = std::make_unique<obs::FlightRecorder>(
-            std::move(rec), [this](obs::Registry& out) {
-                out.merge(registry_);
-                {
-                    // Live view: fold in the per-thread registries that
-                    // have not reached thread_fini yet (their counters
-                    // are atomic; merge reads them concurrently).
-                    std::lock_guard<std::mutex> lock(descriptor_mutex_);
-                    for (const auto& d : descriptors_) {
-                        if (d) out.merge(d->stats);
-                    }
-                }
-                backend_->export_metrics(out);
-            });
-        if (router_ != nullptr) {
-            recorder_->set_topk_source(
-                [router = router_](std::string* out) {
-                    router->topk_json(out);
-                });
-        }
-    }
     if (config_.monitor.enabled) {
         // Live cumulative sum of one per-thread counter: the merged
         // registry (threads past thread_fini) plus the descriptors
@@ -260,7 +230,6 @@ RococoTm::RococoTm(const RococoTmConfig& config)
         }
         monitor_ = std::make_unique<obs::HealthMonitor>(std::move(sampler),
                                                         std::move(slo));
-        if (recorder_) monitor_->set_incident_recorder(recorder_.get());
     }
 }
 
@@ -344,14 +313,9 @@ RococoTm::try_execute(const std::function<void(Tx&)>& body)
 bool
 RococoTm::attempt(const std::function<void(Tx&)>& body, TxDescriptor& d)
 {
-    // One recorder + monitor tick per attempt: cheap when no sample is
-    // due, and try_lock inside keeps concurrent workers from
-    // contending.
-    if (recorder_ || monitor_) {
-        const uint64_t tick_ns = obs::now_ns();
-        if (recorder_) recorder_->tick(tick_ns);
-        if (monitor_) monitor_->tick(tick_ns);
-    }
+    // One monitor tick per attempt: cheap when no sample is due, and
+    // try_lock inside keeps concurrent workers from contending.
+    if (monitor_) monitor_->tick(obs::now_ns());
     d.reset(commit_log_.global_ts());
     TxImpl tx(*this, d);
 

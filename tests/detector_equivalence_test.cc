@@ -7,7 +7,7 @@
 /// distributions (uniform and zipf), snapshot positions and forced
 /// window evictions. Every runtime-available SIMD match kernel
 /// (sig/sliced_kernels.h) is forced in turn and held to the same
-/// bit-for-bit standard, so the AVX2/AVX-512 gather-and-AND paths are
+/// bit-for-bit standard, so the AVX2 gather-and-AND paths are
 /// proven against the scalar oracle on every fuzz input. Runs under
 /// ASan/TSan/UBSan with the rest of the suite, so the kernels' index
 /// arithmetic is sanitizer-proven on the same inputs that prove their

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "obs/abort_reason.h"
 #include "obs/flight_recorder.h"
+#include "obs/health.h"
 #include "obs/registry.h"
 #include "obs/telemetry.h"
 #include "obs/tracer.h"
@@ -568,7 +570,6 @@ TEST(FlightRecorder, ManualDumpWritesNumberedIncidentFiles)
     source.bump("aborts", 3);
     FlightRecorderConfig config;
     config.output_prefix = prefix;
-    config.abort_counters = {"aborts"};
     FlightRecorder recorder(config,
                             [&](Registry& out) { out.merge(source); });
 
@@ -591,117 +592,131 @@ TEST(FlightRecorder, ManualDumpWritesNumberedIncidentFiles)
     std::remove(second.c_str());
 }
 
-TEST(FlightRecorder, TickSamplesOnlyWhenDue)
+constexpr uint64_t kSecond = 1'000'000'000;
+
+/// The recorder's one automatic trigger path: a HealthMonitor with a
+/// single SLO rule @p rule over @p spec (1 s samples, 2 s fast / 6 s
+/// slow windows) whose critical transitions dump into @p recorder.
+std::unique_ptr<HealthMonitor>
+armed_monitor(FlightRecorder& recorder, SeriesSpec spec, const char* rule,
+              double threshold, double min_weight, size_t ring_capacity)
 {
-    FlightRecorderConfig config;
-    config.sample_period_ns = 1000;
-    FlightRecorder recorder(config, {});
-    recorder.tick(500);
-    EXPECT_EQ(recorder.samples_taken(), 0u);
-    recorder.tick(1000);
-    EXPECT_EQ(recorder.samples_taken(), 1u);
-    recorder.tick(1500); // only 500 ns since the last sample
-    EXPECT_EQ(recorder.samples_taken(), 1u);
-    recorder.tick(2100);
-    EXPECT_EQ(recorder.samples_taken(), 2u);
+    MetricSamplerConfig sampler;
+    sampler.sample_period_ns = kSecond;
+    sampler.ring_capacity = ring_capacity;
+    SloEngineConfig slo;
+    SloRule r;
+    r.name = rule;
+    r.series = spec.name;
+    r.threshold = threshold;
+    r.fast_window_ns = 2 * kSecond;
+    r.slow_window_ns = 6 * kSecond;
+    r.min_weight = min_weight;
+    r.recovery_samples = 2;
+    slo.rules.push_back(r);
+    sampler.series.push_back(std::move(spec));
+    auto monitor = std::make_unique<HealthMonitor>(std::move(sampler),
+                                                   std::move(slo));
+    monitor->set_incident_recorder(&recorder);
+    return monitor;
 }
 
 TEST(FlightRecorder, AbortRateTriggerFiresOnDeltaAndCooldownHolds)
 {
+    // The abort-rate trigger is an SLO rule on the interval ratio
+    // Δaborts/Δtotal; SLO hysteresis is the cooldown.
     const std::string prefix = testing::TempDir() + "fr_rate";
     Registry source;
+    Counter& aborts = source.counter("aborts");
+    Counter& total = source.counter("total");
     FlightRecorderConfig config;
     config.output_prefix = prefix;
-    config.sample_period_ns = 1000;
-    config.abort_counters = {"aborts"};
-    config.total_counters = {"total"};
-    config.abort_rate_threshold = 0.5;
-    config.min_delta_total = 16;
-    config.cooldown_ns = ~uint64_t{0} >> 1;
     FlightRecorder recorder(config,
                             [&](Registry& out) { out.merge(source); });
+    SeriesSpec spec;
+    spec.name = "abort_rate";
+    spec.kind = SeriesKind::kRatio;
+    spec.counters = {&aborts};
+    spec.denominators = {&total};
+    auto monitor =
+        armed_monitor(recorder, std::move(spec), "abort-rate", 0.5, 16, 256);
 
-    recorder.tick(1000); // baseline sample: no previous, rate 0
+    uint64_t t = 1;
+    const auto step = [&](uint64_t requests, uint64_t aborted) {
+        total.add(requests);
+        aborts.add(aborted);
+        monitor->tick(t++ * kSecond);
+    };
+    for (int i = 0; i < 4; ++i) step(100, 5);
     EXPECT_EQ(recorder.dumps(), 0u);
 
-    // A genuine spike: 90 aborts out of 100 new requests.
-    source.bump("total", 100);
-    source.bump("aborts", 90);
-    recorder.tick(2000);
-    EXPECT_EQ(recorder.dumps(), 1u);
+    // A genuine spike: 90 aborts out of every 100 new requests, until
+    // the rule goes critical and dumps.
+    while (t <= 20 && recorder.dumps() == 0) step(100, 90);
+    ASSERT_EQ(recorder.dumps(), 1u);
     const std::string path = recorder.last_dump_path();
     EXPECT_EQ(path, prefix + "-1.json");
     const std::string text = read_file(path);
     EXPECT_TRUE(json_well_formed(text)) << text;
-    EXPECT_NE(text.find("\"trigger\": \"abort-rate\""),
+    EXPECT_NE(text.find("\"trigger\": \"slo:abort-rate\""),
               std::string::npos);
-    EXPECT_NE(text.find("\"abort_rate\": 0.9"), std::string::npos);
+    EXPECT_NE(text.find("\"abort_rate\""), std::string::npos);
+    std::remove(path.c_str());
 
-    // Same spike again: the cooldown keeps the recorder from spamming
-    // incident files while the system is still on fire.
-    source.bump("total", 100);
-    source.bump("aborts", 90);
-    recorder.tick(3000);
+    // The storm goes on: staying critical must not spam incidents.
+    for (int i = 0; i < 10; ++i) step(100, 90);
     EXPECT_EQ(recorder.dumps(), 1u);
 
-    // A delta below min_delta_total must never fire: one abort in two
-    // requests is 50% but not a spike.
-    std::remove(path.c_str());
-}
-
-TEST(FlightRecorder, MinDeltaTotalGuardsAgainstIdleBlips)
-{
-    Registry source;
-    FlightRecorderConfig config;
-    config.output_prefix = testing::TempDir() + "fr_blip";
-    config.sample_period_ns = 1000;
-    config.abort_counters = {"aborts"};
-    config.total_counters = {"total"};
-    config.abort_rate_threshold = 0.5;
-    config.min_delta_total = 16;
-    FlightRecorder recorder(config,
-                            [&](Registry& out) { out.merge(source); });
-    recorder.tick(1000);
-    source.bump("total", 2);
-    source.bump("aborts", 2); // 100% of a 2-request delta
-    recorder.tick(2000);
-    EXPECT_EQ(recorder.dumps(), 0u);
+    // Recover, then burn again: the rule re-arms and dumps once more.
+    while (t <= 60 && monitor->slo().overall() != HealthState::kOk) {
+        step(100, 0);
+    }
+    ASSERT_EQ(monitor->slo().overall(), HealthState::kOk);
+    EXPECT_EQ(recorder.dumps(), 1u);
+    while (t <= 80 && recorder.dumps() == 1) step(100, 90);
+    EXPECT_EQ(recorder.dumps(), 2u);
+    std::remove(recorder.last_dump_path().c_str());
 }
 
 TEST(FlightRecorder, P99TriggerAndBoundedRing)
 {
+    // The p99 trigger is an SLO rule on a quantile series; the
+    // incident's look-back is the monitor's ring, bounded at capacity.
     const std::string prefix = testing::TempDir() + "fr_p99";
     Registry source;
-    for (int i = 0; i < 32; ++i) {
-        source.histogram("lat").record(1'000'000);
-    }
+    LatencyHistogram& lat = source.histogram("lat");
+    for (int i = 0; i < 32; ++i) lat.record(1'000'000);
     FlightRecorderConfig config;
     config.output_prefix = prefix;
-    config.sample_period_ns = 1000;
-    config.ring_capacity = 3;
-    config.watch_histogram = "lat";
-    config.p99_threshold_ns = 10'000;
-    config.cooldown_ns = ~uint64_t{0} >> 1;
     FlightRecorder recorder(config,
                             [&](Registry& out) { out.merge(source); });
+    SeriesSpec spec;
+    spec.name = "lat_p99";
+    spec.kind = SeriesKind::kQuantile;
+    spec.histogram = &lat;
+    auto monitor =
+        armed_monitor(recorder, std::move(spec), "p99", 10'000, 1, 4);
 
-    for (uint64_t t = 1; t <= 5; ++t) recorder.tick(t * 1000);
-    EXPECT_EQ(recorder.samples_taken(), 5u);
-    // The very first sample clears the p99 threshold.
-    EXPECT_EQ(recorder.dumps(), 1u);
+    // Critical once the 4-slot ring spans half the slow window (3 s).
+    for (uint64_t t = 1; t <= 6; ++t) monitor->tick(t * kSecond);
+    EXPECT_EQ(monitor->sampler().samples_taken(), 6u);
+    ASSERT_EQ(recorder.dumps(), 1u);
     std::string text = read_file(recorder.last_dump_path());
-    EXPECT_NE(text.find("\"trigger\": \"p99\""), std::string::npos);
+    EXPECT_NE(text.find("\"trigger\": \"slo:p99\""), std::string::npos);
+    EXPECT_NE(text.find("\"to\": \"critical\""), std::string::npos);
     std::remove(recorder.last_dump_path().c_str());
 
-    // After 5 samples into a 3-slot ring, a dump carries exactly the
-    // newest 3, in time order.
+    // After 6 samples into a 4-slot ring, a dump carries exactly the
+    // newest 4, in time order.
     const std::string manual = recorder.dump("manual");
     text = read_file(manual);
     EXPECT_TRUE(json_well_formed(text)) << text;
-    EXPECT_EQ(count_of(text, "{\"t_ns\""), 3u) << text;
-    EXPECT_NE(text.find("\"t_ns\": 3000"), std::string::npos);
-    EXPECT_NE(text.find("\"t_ns\": 5000"), std::string::npos);
-    EXPECT_EQ(text.find("\"t_ns\": 1000"), std::string::npos);
+    const size_t at = text.find("\"points\": [");
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::string points = text.substr(at, text.find("]}", at) - at);
+    EXPECT_EQ(count_of(points, "000000000, "), 4u) << points;
+    EXPECT_LT(points.find("[3000000000, "), points.find("[6000000000, "));
+    EXPECT_EQ(points.find("[2000000000, "), std::string::npos);
     std::remove(manual.c_str());
 }
 

@@ -91,7 +91,7 @@ TEST(Wire, RequestRoundTripAllFields)
     reader.append(bytes.data(), bytes.size());
     auto frame = reader.next();
     ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, MsgType::kRequestV2);
+    EXPECT_EQ(frame->type, MsgType::kRequest);
 
     auto out = decode_request(frame->type, frame->payload, frame->size);
     ASSERT_TRUE(out.has_value());
@@ -102,42 +102,6 @@ TEST(Wire, RequestRoundTripAllFields)
     EXPECT_EQ(out->offload.snapshot_cid, in.offload.snapshot_cid);
     EXPECT_EQ(out->offload.reads, in.offload.reads);
     EXPECT_EQ(out->offload.writes, in.offload.writes);
-}
-
-TEST(Wire, V1RequestRoundTripDropsTraceContext)
-{
-    WireRequest in;
-    in.request_id = 77;
-    in.deadline_ns = 5000;
-    in.trace_id = 0xffff;         // not representable in v1 —
-    in.parent_span_id = 0xffff;   // must decode back as "none"
-    in.offload.snapshot_cid = 3;
-    in.offload.reads = {1, 2};
-    in.offload.writes = {9};
-
-    std::vector<uint8_t> bytes;
-    encode_request_v1(bytes, in);
-
-    FrameReader reader;
-    reader.append(bytes.data(), bytes.size());
-    auto frame = reader.next();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, MsgType::kRequest);
-
-    auto out = decode_request(frame->type, frame->payload, frame->size);
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->request_id, in.request_id);
-    EXPECT_EQ(out->deadline_ns, in.deadline_ns);
-    EXPECT_EQ(out->trace_id, 0u);
-    EXPECT_EQ(out->parent_span_id, 0u);
-    EXPECT_EQ(out->offload.reads, in.offload.reads);
-    EXPECT_EQ(out->offload.writes, in.offload.writes);
-
-    // A v1 payload decoded as v2 (or vice versa) is a length mismatch,
-    // never a silent misparse.
-    EXPECT_FALSE(decode_request(MsgType::kRequestV2, frame->payload,
-                                frame->size)
-                     .has_value());
 }
 
 TEST(Wire, RequestRoundTripBoundarySizes)
@@ -180,50 +144,36 @@ TEST(Wire, ResponseRoundTripAllVerdictsAndReasons)
                          static_cast<obs::AbortReason>(r)};
             in.result.conflict_cid = 0xfeedULL;
             in.stages = {11, 22, 33, 44};
-            // Both versions must round-trip; only v2 carries the stages.
-            for (bool v2 : {false, true}) {
-                std::vector<uint8_t> bytes;
-                encode_response(bytes, in, v2);
-                FrameReader reader;
-                reader.append(bytes.data(), bytes.size());
-                auto frame = reader.next();
-                ASSERT_TRUE(frame.has_value());
-                EXPECT_EQ(frame->type, v2 ? MsgType::kResponseV2
-                                          : MsgType::kResponse);
-                auto out = decode_response(frame->type, frame->payload,
-                                           frame->size);
-                ASSERT_TRUE(out.has_value());
-                EXPECT_EQ(out->request_id, in.request_id);
-                EXPECT_EQ(out->result.verdict, in.result.verdict);
-                EXPECT_EQ(out->result.reason, in.result.reason);
-                EXPECT_EQ(out->result.cid, in.result.cid);
-                EXPECT_EQ(out->has_stages, v2);
-                if (v2) {
-                    EXPECT_EQ(out->stages.server_queue_ns, 11u);
-                    EXPECT_EQ(out->stages.batch_wait_ns, 22u);
-                    EXPECT_EQ(out->stages.engine_ns, 33u);
-                    EXPECT_EQ(out->stages.link_ns, 44u);
-                    // v2 carries the abort provenance verbatim...
-                    EXPECT_EQ(out->result.conflict_cid, 0xfeedULL);
-                } else {
-                    // ...v1 has no field for it: decoders must leave
-                    // the sentinel, never garbage.
-                    EXPECT_EQ(out->result.conflict_cid,
-                              core::kNoConflictCid);
-                }
-            }
+            std::vector<uint8_t> bytes;
+            encode_response(bytes, in);
+            FrameReader reader;
+            reader.append(bytes.data(), bytes.size());
+            auto frame = reader.next();
+            ASSERT_TRUE(frame.has_value());
+            EXPECT_EQ(frame->type, MsgType::kResponse);
+            auto out = decode_response(frame->type, frame->payload,
+                                       frame->size);
+            ASSERT_TRUE(out.has_value());
+            EXPECT_EQ(out->request_id, in.request_id);
+            EXPECT_EQ(out->result.verdict, in.result.verdict);
+            EXPECT_EQ(out->result.reason, in.result.reason);
+            EXPECT_EQ(out->result.cid, in.result.cid);
+            EXPECT_EQ(out->stages.server_queue_ns, 11u);
+            EXPECT_EQ(out->stages.batch_wait_ns, 22u);
+            EXPECT_EQ(out->stages.engine_ns, 33u);
+            EXPECT_EQ(out->stages.link_ns, 44u);
+            // The abort provenance travels verbatim.
+            EXPECT_EQ(out->result.conflict_cid, 0xfeedULL);
         }
     }
 }
 
 TEST(Wire, DecodeRejectsMalformedPayloads)
 {
-    // Too short for the fixed request header (both versions).
+    // Too short for the fixed request header.
     uint8_t small[8] = {};
     EXPECT_FALSE(
         decode_request(MsgType::kRequest, small, sizeof(small)).has_value());
-    EXPECT_FALSE(decode_request(MsgType::kRequestV2, small, sizeof(small))
-                     .has_value());
 
     // Counts disagreeing with the payload length.
     WireRequest request;
@@ -233,17 +183,20 @@ TEST(Wire, DecodeRejectsMalformedPayloads)
     const uint8_t* payload = bytes.data() + kFrameHeaderBytes;
     const size_t size = bytes.size() - kFrameHeaderBytes;
     EXPECT_TRUE(
-        decode_request(MsgType::kRequestV2, payload, size).has_value());
+        decode_request(MsgType::kRequest, payload, size).has_value());
     EXPECT_FALSE(
-        decode_request(MsgType::kRequestV2, payload, size - 8).has_value());
+        decode_request(MsgType::kRequest, payload, size - 8).has_value());
+    // A well-formed payload under any other tag is not a request.
+    EXPECT_FALSE(
+        decode_request(MsgType::kResponse, payload, size).has_value());
 
     // Oversized counts must be rejected before any allocation. The
-    // counts sit after the fixed v2 fields (40 bytes).
+    // counts sit after the fixed fields (40 bytes).
     std::vector<uint8_t> bomb(bytes.begin() + kFrameHeaderBytes,
                               bytes.end());
     const uint32_t huge = kMaxAddresses + 1;
     std::memcpy(bomb.data() + 40, &huge, 4);
-    EXPECT_FALSE(decode_request(MsgType::kRequestV2, bomb.data(),
+    EXPECT_FALSE(decode_request(MsgType::kRequest, bomb.data(),
                                 bomb.size())
                      .has_value());
 
@@ -254,23 +207,23 @@ TEST(Wire, DecodeRejectsMalformedPayloads)
     encode_response(rbytes, response);
     std::vector<uint8_t> rpayload(rbytes.begin() + kFrameHeaderBytes,
                                   rbytes.end());
-    EXPECT_TRUE(decode_response(MsgType::kResponseV2, rpayload.data(),
+    EXPECT_TRUE(decode_response(MsgType::kResponse, rpayload.data(),
                                 rpayload.size())
                     .has_value());
     rpayload[8] = 200; // verdict
-    EXPECT_FALSE(decode_response(MsgType::kResponseV2, rpayload.data(),
+    EXPECT_FALSE(decode_response(MsgType::kResponse, rpayload.data(),
                                  rpayload.size())
                      .has_value());
     rpayload[8] = 0;
     rpayload[9] = 200; // reason
-    EXPECT_FALSE(decode_response(MsgType::kResponseV2, rpayload.data(),
+    EXPECT_FALSE(decode_response(MsgType::kResponse, rpayload.data(),
                                  rpayload.size())
                      .has_value());
-    EXPECT_FALSE(decode_response(MsgType::kResponseV2, rpayload.data(),
+    EXPECT_FALSE(decode_response(MsgType::kResponse, rpayload.data(),
                                  rpayload.size() - 1)
                      .has_value());
-    // A v2-sized payload is not a valid v1 response, and vice versa.
-    EXPECT_FALSE(decode_response(MsgType::kResponse, rpayload.data(),
+    // A well-formed payload under any other tag is not a response.
+    EXPECT_FALSE(decode_response(MsgType::kRequest, rpayload.data(),
                                  rpayload.size())
                      .has_value());
 }
@@ -407,7 +360,7 @@ TEST(SvcClient, CommitsThroughServer)
 }
 
 /// Abort provenance end-to-end: an engine-side cycle abort names the
-/// committed cid it collided with, the v2 wire field carries it to the
+/// committed cid it collided with, the wire field carries it to the
 /// client, and the client both surfaces it on the result and counts
 /// the attribution in its own registry.
 TEST(SvcClient, ReceivesConflictProvenanceOverTheWire)
@@ -618,7 +571,7 @@ TEST(SvcServer, ExpiresQueuedRequestsPastTheirDeadline)
         ASSERT_GT(n, 0);
         reader.append(buf, static_cast<size_t>(n));
         if (auto frame = reader.next()) {
-            ASSERT_EQ(frame->type, MsgType::kResponseV2);
+            ASSERT_EQ(frame->type, MsgType::kResponse);
             response =
                 decode_response(frame->type, frame->payload, frame->size);
         }
@@ -659,46 +612,10 @@ TEST(SvcServer, DropsMalformedConnections)
     EXPECT_EQ(server.stats().get("svc.malformed"), 1u);
 }
 
-/// Wire versioning: a pre-trace-context (v1) frame must still validate
-/// against a v2 server, and the server must answer it with a v1
-/// response so the old decoder never sees an unknown frame type.
-TEST(SvcServer, AnswersV1FramesWithV1Responses)
-{
-    ServerConfig config;
-    config.socket_path = test_socket_path("v1compat");
-    Server server(config);
-    ASSERT_TRUE(server.start());
-
-    const int fd = connect_raw(config.socket_path);
-    ASSERT_GE(fd, 0);
-
-    WireRequest request;
-    request.request_id = 42;
-    request.offload.writes = {7};
-    std::vector<uint8_t> bytes;
-    encode_request_v1(bytes, request);
-    ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(bytes.size()));
-
-    auto payload = read_frame_of_type(fd, MsgType::kResponse);
-    ASSERT_TRUE(payload.has_value()) << "no v1 response frame";
-    auto response = decode_response(MsgType::kResponse, payload->data(),
-                                    payload->size());
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->request_id, request.request_id);
-    EXPECT_EQ(response->result.verdict, core::Verdict::kCommit);
-    EXPECT_FALSE(response->has_stages);
-
-    close(fd);
-    server.stop();
-    EXPECT_EQ(server.stats().get("svc.requests"), 1u);
-    EXPECT_EQ(server.stats().get("svc.verdict.commit"), 1u);
-    EXPECT_EQ(server.stats().get("svc.malformed"), 0u);
-}
-
-/// An op the server does not serve (here: a response type and an
-/// entirely unknown tag) must disconnect the peer with svc.malformed
-/// accounted — the versioning escape hatch never silently drops frames.
+/// An op the server does not serve (here: a response type, an entirely
+/// unknown tag and the retired v1 request tag) must disconnect the peer
+/// with svc.malformed accounted — the versioning escape hatch never
+/// silently drops frames.
 TEST(SvcServer, DisconnectsUnknownOps)
 {
     ServerConfig config;
@@ -719,7 +636,7 @@ TEST(SvcServer, DisconnectsUnknownOps)
         close(fd);
     }
     // A known frame type the server does not accept (a client-bound
-    // kResponseV2): well-framed, still not a request.
+    // kResponse): well-framed, still not a request.
     {
         const int fd = connect_raw(config.socket_path);
         ASSERT_GE(fd, 0);
@@ -734,8 +651,25 @@ TEST(SvcServer, DisconnectsUnknownOps)
         EXPECT_EQ(recv(fd, buf, sizeof(buf), 0), 0) << "not disconnected";
         close(fd);
     }
+    // Tag 1, the retired v1 request: a whole request frame under that
+    // tag is an unknown type, not a request.
+    {
+        const int fd = connect_raw(config.socket_path);
+        ASSERT_GE(fd, 0);
+        WireRequest request;
+        request.request_id = 42;
+        request.offload.writes = {7};
+        std::vector<uint8_t> bytes;
+        encode_request(bytes, request);
+        bytes[4] = 1;
+        ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+        uint8_t buf[16];
+        EXPECT_EQ(recv(fd, buf, sizeof(buf), 0), 0) << "not disconnected";
+        close(fd);
+    }
     server.stop();
-    EXPECT_EQ(server.stats().get("svc.malformed"), 2u);
+    EXPECT_EQ(server.stats().get("svc.malformed"), 3u);
     EXPECT_EQ(server.stats().get("svc.requests"), 0u);
 }
 
@@ -1386,7 +1320,7 @@ TEST(SvcStats, SeriesFloodDoesNotPerturbAccounting)
     EXPECT_EQ(accounted, stats.get("svc.requests"));
 }
 
-/// v2 responses carry the server's stage breakdown; the client folds it
+/// Responses carry the server's stage breakdown; the client folds it
 /// into svc.stage.* histograms whose wall-clock stages sum to the
 /// measured round trip by construction (wire is the residual).
 TEST(SvcClient, RecordsStageBreakdownFromV2Responses)

@@ -440,7 +440,6 @@ TEST(HealthMonitor, CriticalSloDumpsIncidentWithBreachingSeries)
     std::snprintf(prefix, sizeof prefix, "/tmp/slo_incident_%d",
                   getpid());
     rec_config.output_prefix = prefix;
-    rec_config.abort_rate_threshold = 0.0; // SLO is the only trigger
     FlightRecorder recorder(rec_config, [&](Registry& out) {
         out.merge(registry);
     });
@@ -511,8 +510,8 @@ TEST(HealthMonitor, CriticalSloDumpsIncidentWithBreachingSeries)
 
 TEST(HealthMonitor, ConcurrentTicksExportsAndReadersAreSafe)
 {
-    // TSan-facing stress: four roles hammer one monitor — a ticker, a
-    // status_json reader, a registry exporter and a counter writer.
+    // TSan-facing stress: five roles hammer one monitor — two tickers,
+    // a status_json reader, a registry exporter and a counter writer.
     // The assertions are weak on purpose; the value is the interleaving
     // under -DROCOCO_SANITIZE=thread.
     Registry registry;
@@ -549,11 +548,15 @@ TEST(HealthMonitor, ConcurrentTicksExportsAndReadersAreSafe)
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> now{1};
-    std::thread ticker([&] {
+    // Two tickers, like RococoTm's worker threads: one's pre-check
+    // reads the sampler's last-sample time while the other writes it.
+    auto tick_loop = [&] {
         while (!stop.load(std::memory_order_relaxed)) {
             monitor.tick(now.fetch_add(100, std::memory_order_relaxed));
         }
-    });
+    };
+    std::thread ticker(tick_loop);
+    std::thread ticker2(tick_loop);
     std::thread reader([&] {
         while (!stop.load(std::memory_order_relaxed)) {
             std::string json;
@@ -582,6 +585,7 @@ TEST(HealthMonitor, ConcurrentTicksExportsAndReadersAreSafe)
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     stop.store(true);
     ticker.join();
+    ticker2.join();
     reader.join();
     exporter.join();
     writer.join();
