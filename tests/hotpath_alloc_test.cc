@@ -340,7 +340,7 @@ TEST(HotPathAllocation, MonitoredSteadyStateIsAllocationFree)
 
 /// The multi-threaded server's worker pool makes the same promise for
 /// the full IO-thread half of a request's life: acquire a slab job,
-/// fill its offload in place, submit to the home-shard worker, drain
+/// fill its offload in place, submit to its home worker, drain
 /// the completion back and release. After warmup (slab recycled, feed
 /// rings and completion vectors at capacity, the workers'
 /// thread_local router scratch grown, per-shard windows churned), a
